@@ -40,6 +40,7 @@ from .errors import AlbertsonError, BudgetExceededError, Graph6Error, Inapplicab
 from .graph_lab import (
     FamilyKind,
     FamilySpec,
+    _parse_budget,
     build_family,
     chromatic_number,
     contains_topological_clique,
@@ -88,16 +89,10 @@ def _sizes_arg(text: str) -> tuple[int, ...]:
 
 
 def _budget_arg(text: str) -> dict[str, int]:
-    out = {}
-    for entry in text.split(","):
-        key, sep, value = entry.partition("=")
-        if not sep:
-            raise argparse.ArgumentTypeError(f"budget entries look like coloring=50, got {entry!r}")
-        try:
-            out[key.strip()] = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad budget value in {entry!r}") from None
-    return out
+    try:
+        return _parse_budget(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_verify(args) -> int:

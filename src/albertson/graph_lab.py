@@ -14,17 +14,19 @@ Families:
               ceil(5k/2), the classical Hajós-conjecture counterexamples.
   Complete(n), Join(spec, spec)  the obvious constructions.
 
-Algorithms are exact and budget-guarded: chromatic number by branch and bound
-(greedy clique lower bound, DSATUR upper bound, backtracking k-colorability
-with clique precoloring and a fresh-color symmetry cap), edge-deletion
-criticality, simplicial counts in the degree-(n-1) sense, complement
-structure (components, maximum matching, triangles), and subdivision
-containment (topological K_t) by exhaustive branch-vertex choice plus
-backtracking over internally disjoint path systems.  Budgets default to
-n <= 40 for coloring and n <= 20 for subdivision search and can be raised
-per call (max_n) or via the ALBERTSON_BUDGET environment variable, e.g.
-ALBERTSON_BUDGET="coloring=50,subdivision=24".  Exceeding a budget raises,
-never approximates.
+Algorithms are exact and budget-guarded: chromatic number by counting k up
+from the largest greedy clique until one k-coloring kernel succeeds (DSATUR
+backtracking on adjacency and color bitmasks, with clique precoloring,
+forward checking, a fresh-color symmetry cap and a Hall count over greedy
+cliques), edge-deletion criticality running the same kernel on each G-e,
+simplicial counts in the degree-(n-1) sense, complement structure
+(components, maximum matching, triangles), and subdivision containment
+(topological K_t) by exhaustive branch-vertex choice plus backtracking over
+internally disjoint path systems.  Budgets default to n <= 40 for coloring
+and n <= 20 for subdivision search and can be raised per call (max_n) or via
+the ALBERTSON_BUDGET environment variable, e.g.
+ALBERTSON_BUDGET="coloring=50,subdivision=24"; unknown keys and negative
+values raise ValueError.  Exceeding a budget raises, never approximates.
 
 Graphs read and write the graph6 text format (one graph per line) for
 exchanging externally published graph lists.
@@ -42,20 +44,41 @@ from .errors import BudgetExceededError, Graph6Error, InapplicableRuleError
 
 _COLORING_DEFAULT = 40
 _SUBDIVISION_DEFAULT = 20
+_BUDGET_KEYS = ("coloring", "subdivision")
+
+
+def _parse_budget(spec: str) -> dict[str, int]:
+    """Parse a budget spec such as "coloring=50,subdivision=24".  Malformed
+    entries, unknown keys and negative values raise ValueError."""
+    out = {}
+    for entry in spec.split(","):
+        key, sep, value = entry.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"budget entries look like coloring=50, got {entry!r}")
+        if key not in _BUDGET_KEYS:
+            raise ValueError(f"unknown budget key {key!r}; known keys are "
+                             + ", ".join(_BUDGET_KEYS))
+        try:
+            limit = int(value)
+        except ValueError:
+            raise ValueError(f"bad budget value in {entry!r}") from None
+        if limit < 0:
+            raise ValueError(f"budget must be >= 0, got {entry!r}")
+        out[key] = limit
+    return out
 
 
 def _budget(kind: str, override: int | None, default: int) -> int:
     if override is not None:
         return override
     spec = os.environ.get("ALBERTSON_BUDGET", "")
-    for entry in spec.split(","):
-        key, sep, value = entry.partition("=")
-        if sep and key.strip() == kind:
-            try:
-                return int(value)
-            except ValueError:
-                raise ValueError(f"bad ALBERTSON_BUDGET entry: {entry!r}") from None
-    return default
+    if not spec:
+        return default
+    try:
+        return _parse_budget(spec).get(kind, default)
+    except ValueError as exc:
+        raise ValueError(f"bad ALBERTSON_BUDGET: {exc}") from None
 
 
 class Graph:
@@ -277,95 +300,112 @@ def efamily_splits(r: int) -> tuple[FamilySpec, ...]:
 # coloring
 
 
-def _greedy_clique(adj, n: int) -> list[int]:
-    best: list[int] = []
-    for seed in sorted(range(n), key=lambda v: (-len(adj[v]), v)):
-        clique = [seed]
-        cand = adj[seed]
+def _bits(mask: int):
+    """Indexes of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _adjacency_masks(g: Graph) -> list[int]:
+    return [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+
+
+def _cliques(adj: list[int]) -> list[int]:
+    """One greedy maximal clique per seed vertex, as bitmasks, without
+    duplicates and largest first.  Each grows by the candidate with the most
+    neighbors among the remaining candidates, lowest label on ties."""
+    found = set()
+    for seed, cand in enumerate(adj):
+        clique = 1 << seed
         while cand:
-            v = max(cand, key=lambda u: (len(adj[u] & cand), -u))
-            clique.append(v)
-            cand = cand & adj[v]
-        if len(clique) > len(best):
-            best = clique
-    return best
+            v = max(_bits(cand), key=lambda u: ((adj[u] & cand).bit_count(), -u))
+            clique |= 1 << v
+            cand &= adj[v]
+        found.add(clique)
+    return sorted(found, key=lambda c: (-c.bit_count(), c))
 
 
-def _dsatur_bound(adj, n: int) -> int:
-    colors = [-1] * n
-    sat = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max((u for u in range(n) if colors[u] < 0),
-                key=lambda u: (len(sat[u]), len(adj[u]), -u))
-        c = next(c for c in itertools.count() if c not in sat[v])
-        colors[v] = c
-        for u in adj[v]:
-            sat[u].add(c)
-    return max(colors, default=-1) + 1
+def _k_colorable(adj: list[int], k: int, cliques: list[int]) -> bool:
+    """Exact k-colorability of the graph with adjacency bitmasks adj.
 
-
-def _k_colorable(adj, n: int, k: int, clique=None) -> bool:
-    """Backtracking k-colorability with clique precoloring, saturation-driven
-    vertex choice, and a cap of one fresh color per step."""
-    if k >= n:
-        return True
-    if k <= 0:
-        return n == 0
-    if clique is None:
-        clique = _greedy_clique(adj, n)
-    if len(clique) > k:
+    cliques must be cliques of this graph, largest first.  The largest is
+    precolored 0..q-1; then DSATUR backtracking (Brelaz 1979) picks the
+    uncolored vertex with the fewest colors left, ties to higher degree,
+    then lower label, and tries at most one fresh color per step.  Each
+    vertex keeps a bitmask of the colors still open to it.  Forward checking:
+    coloring a vertex removes the color from its uncolored neighbors, and
+    the branch fails as soon as one has none left.  Hall prune: the uncolored
+    members of a clique need pairwise distinct colors, so the branch also
+    fails when they have fewer colors left between them than there are
+    members.  Only cliques containing a vertex whose colors just shrank are
+    rechecked; the others hold at least as many colors as before.  The prune
+    needs only that every listed set is a clique of this graph, not that it
+    is maximal, which is what lets is_critical reuse the cliques of g on G-e.
+    """
+    n = len(adj)
+    if cliques and cliques[0].bit_count() > k:
         return False
-    colors = [-1] * n
-    # forbidden[v][c] counts colored neighbors of v wearing c
-    forbidden = [[0] * k for _ in range(n)]
-    for c, v in enumerate(clique):
-        colors[v] = c
-        for u in adj[v]:
-            forbidden[u][c] += 1
+    degree = [a.bit_count() for a in adj]
 
-    def assign(v: int, c: int, delta: int) -> None:
-        for u in adj[v]:
-            forbidden[u][c] += delta
+    def assign(colors: list[int], uncolored: int, v: int, c: int) -> bool:
+        """Give v color c (v already out of uncolored) and propagate; False
+        if a domain wipes out or a clique fails the Hall count."""
+        bit = 1 << c
+        shrunk = 0
+        for u in _bits(adj[v] & uncolored):
+            if colors[u] & bit:
+                colors[u] ^= bit
+                if not colors[u]:
+                    return False
+                shrunk |= 1 << u
+        for clique in cliques:
+            if clique & shrunk:
+                left = clique & uncolored
+                union = 0
+                for w in _bits(left):
+                    union |= colors[w]
+                if union.bit_count() < left.bit_count():
+                    return False
+        return True
 
-    def solve(uncolored: set[int], used: int) -> bool:
+    def solve(colors: list[int], uncolored: int, used: int) -> bool:
         if not uncolored:
             return True
-        v = max(uncolored,
-                key=lambda u: (sum(1 for c in range(used) if forbidden[u][c]),
-                               len(adj[u]), -u))
-        uncolored.remove(v)
-        for c in range(min(k, used + 1)):
-            if forbidden[v][c] == 0:
-                colors[v] = c
-                assign(v, c, +1)
-                if solve(uncolored, max(used, c + 1)):
-                    return True
-                assign(v, c, -1)
-                colors[v] = -1
-        uncolored.add(v)
+        v = min(_bits(uncolored), key=lambda u: (colors[u].bit_count(), -degree[u], u))
+        uncolored ^= 1 << v
+        for c in _bits(colors[v] & ((2 << used) - 1)):
+            child = colors[:]
+            if assign(child, uncolored, v, c) and solve(child, uncolored, max(used, c + 1)):
+                return True
         return False
 
-    return solve({v for v in range(n) if colors[v] < 0}, len(clique))
+    colors = [(1 << k) - 1] * n
+    uncolored = (1 << n) - 1
+    root = cliques[0] if cliques else 0
+    for c, v in enumerate(_bits(root)):
+        uncolored ^= 1 << v
+        if not assign(colors, uncolored, v, c):
+            return False
+    return solve(colors, uncolored, root.bit_count())
 
 
 def chromatic_number(g: Graph, max_n: int | None = None) -> int:
-    """Exact chromatic number by branch and bound."""
+    """Exact chromatic number: k counts up from the largest clique found
+    until the graph is k-colorable."""
     n = g.vertex_count
     limit = _budget("coloring", max_n, _COLORING_DEFAULT)
     if n > limit:
         raise BudgetExceededError(
             f"chromatic_number budget is n <= {limit}, got n={n}; raise it via "
             f"max_n or ALBERTSON_BUDGET=coloring=<N>")
-    if n == 0:
-        return 0
-    adj = g.adjacency
-    clique = _greedy_clique(adj, n)
-    lower = len(clique)
-    upper = _dsatur_bound(adj, n)
-    for k in range(lower, upper):
-        if _k_colorable(adj, n, k, clique):
-            return k
-    return upper
+    adj = _adjacency_masks(g)
+    cliques = _cliques(adj)
+    k = cliques[0].bit_count() if cliques else 0
+    while not _k_colorable(adj, k, cliques):
+        k += 1
+    return k
 
 
 def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
@@ -374,15 +414,27 @@ def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
     For graphs without isolated vertices this is exactly r-criticality (every
     proper subgraph (r-1)-colorable); an isolated vertex would defeat the
     implication, so its presence returns False for r >= 2.
+
+    Each G-e is checked on the masks and cliques of g with the edge's two
+    bits cleared and the cliques containing both endpoints dropped: the
+    other cliques of g are still cliques of G-e, so the Hall prune stays
+    sound.
     """
     n = g.vertex_count
     if r >= 2 and any(g.degree(v) == 0 for v in range(n)):
         return False
     if chromatic_number(g, max_n=max_n) != r:
         return False
-    return all(
-        _k_colorable(g.without_edge(u, v).adjacency, n, r - 1)
-        for u, v in sorted(g.edges))
+    adj = _adjacency_masks(g)
+    cliques = _cliques(adj)
+    for u, v in sorted(g.edges):
+        without = adj[:]
+        without[u] ^= 1 << v
+        without[v] ^= 1 << u
+        both = 1 << u | 1 << v
+        if not _k_colorable(without, r - 1, [c for c in cliques if c & both != both]):
+            return False
+    return True
 
 
 def simplicial_vertices(g: Graph) -> list[int]:

@@ -247,3 +247,12 @@ class TestUsage:
 
     def test_missing_required(self, capsys):
         assert invoke(capsys, "verify")[0] == 2
+
+    @pytest.mark.parametrize("budget", ["colouring=3", "coloring=-5", "coloring=50,depth=2",
+                                        "coloring", "coloring=lots"])
+    def test_bad_budget(self, capsys, budget):
+        code, out, err = invoke(capsys, "families", "--kind", "Delta", "--r", "4",
+                                "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert "--budget" in err

@@ -114,6 +114,16 @@ def _max_clique_size(g):
     return 0
 
 
+def _mycielski(g):
+    """Mycielski's construction: a copy u' of each vertex u, adjacent to the
+    neighbors of u, plus one vertex adjacent to every copy."""
+    n = g.vertex_count
+    edges = list(g.edges)
+    edges += [(u, n + v) for a, b in g.edges for u, v in ((a, b), (b, a))]
+    edges += [(n + u, 2 * n) for u in range(n)]
+    return Graph(2 * n + 1, edges)
+
+
 def _petersen():
     return Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                       (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
@@ -236,7 +246,7 @@ class TestChromatic:
         g = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5)])
         assert chromatic_number(g) == 2
 
-    @pytest.mark.parametrize("k,chi", [(1, 3), (2, 5), (3, 8)])
+    @pytest.mark.parametrize("k,chi", [(1, 3), (2, 5), (3, 8), (4, 10)])
     def test_catlin(self, k, chi):
         g = build_family(FamilySpec(FamilyKind.CATLIN, sizes=(k,)))
         assert chromatic_number(g) == chi
@@ -249,7 +259,7 @@ class TestChromatic:
     def test_matches_plain_backtracking(self):
         rng = random.Random(0xA5)
         for _ in range(50):
-            g = _random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.8))
+            g = _random_graph(rng, rng.randint(1, 10), rng.uniform(0.2, 0.8))
             assert chromatic_number(g) == _oracle_chromatic(g)
 
 
@@ -269,12 +279,43 @@ class TestCriticality:
         assert not is_critical(g, 4)
 
     def test_efamily_members_critical(self):
-        for r in (4, 5):
+        for r in (4, 5, 9):
             for spec in efamily_splits(r):
                 assert is_critical(build_family(spec), r)
 
     def test_join_of_criticals(self):
         assert is_critical(join(complete_graph(3), cycle_graph(5)), 6)
+
+    @pytest.mark.parametrize("r", [9, 10, 11, 12])
+    def test_delta_members_critical_frontier(self, r):
+        for spec in delta_splits(r):
+            assert is_critical(build_family(spec), r)
+
+    def test_mycielski_m5_critical(self):
+        m5 = _mycielski(_mycielski(_mycielski(complete_graph(2))))
+        assert (m5.vertex_count, m5.edge_count) == (23, 71)
+        assert is_critical(m5, 5)
+
+    def test_matches_edge_deletion_oracle(self):
+        # each random graph and an edge-minimal subgraph with the same chi,
+        # which is edge-critical and often has no isolated vertex
+        rng = random.Random(0xC7)
+        critical = 0
+        for _ in range(40):
+            g = _random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.8))
+            chi = _oracle_chromatic(g)
+            h = g
+            for e in rng.sample(sorted(g.edges), len(g.edges)):
+                if _oracle_chromatic(h.without_edge(*e)) == chi:
+                    h = h.without_edge(*e)
+            for x in (g, h):
+                isolated = any(x.degree(v) == 0 for v in range(x.vertex_count))
+                expected = (not (chi >= 2 and isolated)
+                            and all(_oracle_chromatic(x.without_edge(*e)) < chi
+                                    for e in x.edges))
+                assert is_critical(x, chi) == expected
+                critical += expected
+        assert critical > 10
 
 
 class TestSimplicial:
@@ -526,6 +567,14 @@ class TestBudgets:
         monkeypatch.setenv("ALBERTSON_BUDGET", "coloring=lots")
         with pytest.raises(ValueError):
             chromatic_number(Graph(5, []))
+
+    @pytest.mark.parametrize("spec", ["colouring=3", "coloring=-5", "coloring=3,depth=2"])
+    def test_env_var_rejects_unknown_key_and_negative(self, monkeypatch, spec):
+        monkeypatch.setenv("ALBERTSON_BUDGET", spec)
+        with pytest.raises(ValueError, match="ALBERTSON_BUDGET"):
+            chromatic_number(Graph(5, []))
+        with pytest.raises(ValueError, match="ALBERTSON_BUDGET"):
+            contains_topological_clique(Graph(5, []), 3)
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("ALBERTSON_BUDGET", "coloring=10")
