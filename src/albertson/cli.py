@@ -53,12 +53,11 @@ from .graph_lab import (
 )
 from .verifier import (
     Verdict,
-    _fmt3,
     catlin_check,
     compare_with_reference,
     lemma357_check,
+    markdown_table,
     render_report,
-    table_rule_id,
     verify_albertson,
 )
 
@@ -106,11 +105,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     report = verify_albertson(args.r)
-    header = "bound (4)" if table_rule_id(args.r) is RuleId.EQ4 else "bound (5)"
-    print(f"| n | e | {header} | p | ⌈cr(n,m,p)⌉ |")
-    print("| ---: | ---: | ---: | ---: | ---: |")
-    for row in report.rows:
-        print(f"| {row.n} | {row.m_min} | {row.linear_bound} | {_fmt3(row.p)} | {row.prob_bound} |")
+    print("\n".join(markdown_table(report)))
     return 0 if report.verdict is Verdict.VERIFIED else 1
 
 

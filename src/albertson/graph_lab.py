@@ -21,10 +21,11 @@ forward checking, a fresh-color symmetry cap and a Hall count over greedy
 cliques), edge-deletion criticality running the same kernel on each G-e,
 simplicial counts in the degree-(n-1) sense, complement structure
 (components, maximum matching, triangles), and subdivision containment
-(topological K_t) by exhaustive branch-vertex choice plus backtracking over
-internally disjoint path systems.  Budgets default to n <= 40 for coloring
-and n <= 20 for subdivision search and can be raised per call (max_n) or via
-the ALBERTSON_BUDGET environment variable, e.g.
+(topological K_t) by a branch-vertex recursion with a private-vertex count,
+then depth-first routing of chordless paths on bitmasks with reachability
+forward checks.  Budgets default to n <= 40 for coloring and n <= 20 for
+subdivision search and can be raised per call (max_n) or via the
+ALBERTSON_BUDGET environment variable, e.g.
 ALBERTSON_BUDGET="coloring=50,subdivision=24"; unknown keys and negative
 values raise ValueError.  Exceeding a budget raises, never approximates.
 
@@ -542,45 +543,89 @@ class SubdivisionWitness:
         return True
 
 
-def _find_path_system(adj, branch: frozenset, pairs, idx: int, used: frozenset):
-    """First system of internally disjoint paths covering pairs[idx:], with
-    internal vertices drawn from outside branch and used; None if none."""
-    if idx == len(pairs):
+def _reaches(adj: list[int], start: int, allowed: int, goal: int) -> bool:
+    """True iff a walk from start through vertices of allowed reaches a
+    vertex of goal & allowed (breadth-first search over bitmasks)."""
+    goal &= allowed
+    seen = frontier = adj[start] & allowed
+    while frontier:
+        if frontier & goal:
+            return True
+        grown = 0
+        for w in _bits(frontier):
+            grown |= adj[w]
+        frontier = grown & allowed & ~seen
+        seen |= frontier
+    return False
+
+
+def _route(adj: list[int], pairs: list[tuple[int, int]],
+           free: int) -> dict[tuple[int, int], tuple[int, ...]] | None:
+    """First system of internally disjoint chordless paths joining the
+    pairs, none of them adjacent, routed in order with internal vertices
+    from the bitmask free: a dict pair -> path, or None if there is none."""
+    if not all(_reaches(adj, a, free, adj[b]) for a, b in pairs):
+        return None
+    if not pairs:
         return {}
-    u, v = pairs[idx]
+    (u, v), rest = pairs[0], pairs[1:]
+    goal = adj[v]
     path = [u]
-    result = None
 
-    def dfs(cur: int) -> bool:
-        nonlocal result
-        for w in sorted(adj[cur]):
-            if w == v:
-                if len(path) == 1:
-                    continue  # direct edges are handled before the search
-                rest = _find_path_system(adj, branch, pairs, idx + 1,
-                                         used | frozenset(path[1:]))
-                if rest is not None:
-                    rest[(u, v)] = tuple(path) + (v,)
-                    result = rest
-                    return True
-            elif w not in branch and w not in used and w not in path:
+    def extend(cur: int, banned: int, free: int):
+        # banned holds the neighbors of the path vertices before cur
+        if goal >> cur & 1:
+            system = _route(adj, rest, free)
+            if system is not None:
+                system[(u, v)] = (*path, v)
+            return system
+        after = banned | adj[cur]
+        for w in _bits(adj[cur] & free & ~banned):
+            left = free ^ 1 << w
+            if goal >> w & 1 or _reaches(adj, w, left & ~after, goal):
                 path.append(w)
-                if dfs(w):
-                    return True
+                system = extend(w, after, left)
+                if system is not None:
+                    return system
                 path.pop()
-        return False
+        return None
 
-    dfs(u)
-    return result
+    return extend(u, 0, free)
 
 
 def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> SubdivisionWitness | None:
     """Search for a subdivision of K_t; exact within the budget.
 
-    Branch candidates need degree >= t-1 and are tried in degree order; for
-    every branch choice, adjacent pairs take their direct edge (never a loss:
-    an edge between two branch vertices cannot serve any other pair) and the
-    remaining pairs are connected by backtracking over disjoint path systems.
+    Branch vertices are picked one at a time from the candidates, taken in
+    order of degree (highest first, lower label on ties).  Adjacent branch
+    pairs take their direct edge; this never loses, since an edge between
+    two branch vertices can serve no other pair.  Every other pair is open
+    and needs a path with internal vertices off the branch set.  Two prunes
+    cut a partial branch set, and with it every set that extends it:
+
+      (a) the open pairs need pairwise distinct private internal vertices,
+          so there are at most n - t of them.  Open pairs only accumulate
+          as the set grows.
+      (b) a branch vertex x leaves by a different non-branch neighbor on
+          each of its open paths.  With j branch neighbors that is t-1-j
+          open pairs against deg(x)-j such neighbors, i.e. deg(x) >= t-1:
+          the filter that makes x a candidate in the first place.
+
+    On a full branch set each open pair must be joined through the free
+    vertices, which a breadth-first search over bitmasks checks.  Then the
+    open pairs are routed one after another by depth-first search:
+
+      - only chordless paths are tried: a new vertex touches no earlier
+        path vertex except the current end.  Any path can be shortened to
+        a chordless one on a subset of its own vertices, and a subset
+        keeps the system internally disjoint;
+      - a path closes as soon as its end is adjacent to the target, for the
+        same reason;
+      - a step is taken only if the target can still be reached from the
+        new end through free vertices that no earlier path vertex touches.
+
+    Once a path closes, every remaining pair must again be joined through
+    the vertices still free.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -592,26 +637,31 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
             f"max_n or ALBERTSON_BUDGET=subdivision=<N>")
     if t == 0:
         return SubdivisionWitness(t=0, branch_vertices=(), paths=())
-    candidates = sorted((v for v in range(n) if g.degree(v) >= t - 1),
-                        key=lambda v: (-g.degree(v), v))
-    if len(candidates) < t:
+    adj = _adjacency_masks(g)
+    candidates = sorted((v for v in range(n) if adj[v].bit_count() >= t - 1),
+                        key=lambda v: (-adj[v].bit_count(), v))
+    free_all = (1 << n) - 1
+
+    def choose(start: int, branch: int, size: int, open_count: int) -> SubdivisionWitness | None:
+        if size == t:
+            members = list(_bits(branch))
+            pairs = list(itertools.combinations(members, 2))
+            open_pairs = [(a, b) for a, b in pairs if not adj[a] >> b & 1]
+            system = _route(adj, open_pairs, free_all & ~branch)
+            if system is None:
+                return None
+            return SubdivisionWitness(t=t, branch_vertices=tuple(members),
+                                      paths=tuple((pair, system.get(pair, pair)) for pair in pairs))
+        for i in range(start, len(candidates) - (t - size) + 1):
+            v = candidates[i]
+            count = open_count + size - (adj[v] & branch).bit_count()
+            if count <= n - t:
+                witness = choose(i + 1, branch | 1 << v, size + 1, count)
+                if witness is not None:
+                    return witness
         return None
-    for branch in itertools.combinations(candidates, t):
-        bset = frozenset(branch)
-        direct = []
-        open_pairs = []
-        for u, v in itertools.combinations(sorted(branch), 2):
-            if g.has_edge(u, v):
-                direct.append(((u, v), (u, v)))
-            else:
-                open_pairs.append((u, v))
-        system = _find_path_system(g.adjacency, bset, open_pairs, 0, frozenset())
-        if system is None:
-            continue
-        paths = direct + [(pair, system[pair]) for pair in open_pairs]
-        return SubdivisionWitness(t=t, branch_vertices=tuple(sorted(branch)),
-                                  paths=tuple(sorted(paths)))
-    return None
+
+    return choose(0, 0, 0, 0)
 
 
 def contains_topological_clique(g: Graph, t: int, max_n: int | None = None) -> bool:

@@ -94,7 +94,7 @@ class TailCertificate:
 
     @property
     def intercept(self) -> Fraction:
-        return (4 * self.r - 12) / self.p**2 + _F(103, 3) / self.p**4
+        return _tail_intercept(self.r, self.p)
 
     @property
     def anchor_value(self) -> Fraction:
@@ -181,6 +181,11 @@ TAIL_ANCHORS: dict[int, tuple[Fraction, int]] = {
 }
 
 
+def _tail_intercept(r: int, p: Fraction) -> Fraction:
+    """d = (4r-12)/p^2 + 103/(3p^4), the intercept of h(n)."""
+    return (4 * r - 12) / p**2 + _F(103, 3) / p**4
+
+
 def tail_certificate(r: int, p, n0: int) -> TailCertificate:
     """Evaluate the three tail conditions exactly; invalid certificates are
     returned, not raised."""
@@ -194,8 +199,7 @@ def tail_certificate(r: int, p, n0: int) -> TailCertificate:
     slope = 2 * (r - 1) / p**2 - _F(103, 6) / p**3
     tail_term = 5 * n0**2 * (1 - p) ** (n0 - 2) / p**4
     decreasing = (1 - p) * _F(n0 + 1, n0) ** 2 < 1
-    intercept = (4 * r - 12) / p**2 + _F(103, 3) / p**4
-    anchor = slope * n0 + intercept - tail_term
+    anchor = slope * n0 + _tail_intercept(r, p) - tail_term
     valid = slope > 0 and decreasing and math.ceil(anchor) >= zarankiewicz(r)
     return TailCertificate(r=r, p=p, n0=n0, slope=slope,
                            tail_term_at_n0=tail_term, valid=valid)
@@ -426,17 +430,23 @@ def _bound_header(r: int) -> str:
     return "bound (4)" if table_rule_id(r) is RuleId.EQ4 else "bound (5)"
 
 
+def markdown_table(report: VerificationReport) -> list[str]:
+    """The case-analysis rows of a report as markdown table lines."""
+    lines = [f"| n | e | {_bound_header(report.r)} | p | ⌈cr(n,m,p)⌉ |",
+             "| ---: | ---: | ---: | ---: | ---: |"]
+    for row in report.rows:
+        lines.append(f"| {row.n} | {row.m_min} | {row.linear_bound} | "
+                     f"{_fmt3(row.p)} | {row.prob_bound} |")
+    return lines
+
+
 def _render_markdown(report: VerificationReport) -> str:
     r = report.r
     lines = [f"## Albertson case analysis, r = {r}", ""]
     lines.append(f"Target: cr(K_{r}) <= Z({r}) = {zarankiewicz(r)}.")
     lines.append(report.small_n_note)
     lines.append("")
-    lines.append(f"| n | e | {_bound_header(r)} | p | ⌈cr(n,m,p)⌉ |")
-    lines.append("| ---: | ---: | ---: | ---: | ---: |")
-    for row in report.rows:
-        lines.append(f"| {row.n} | {row.m_min} | {row.linear_bound} | "
-                     f"{_fmt3(row.p)} | {row.prob_bound} |")
+    lines.extend(markdown_table(report))
     lines.append("")
     for row in report.refined_rows:
         lines.append(f"Join refinement at n = {row.n}: e = {row.m_min}, "

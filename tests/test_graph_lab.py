@@ -130,6 +130,24 @@ def _petersen():
                       (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)])
 
 
+def _icosahedron():
+    """Two poles 0 and 11, each joined to a 5-cycle, and an antiprism band
+    between the two cycles."""
+    upper = [1 + i for i in range(5)]
+    lower = [6 + i for i in range(5)]
+    edges = [(0, v) for v in upper] + [(11, v) for v in lower]
+    for i in range(5):
+        edges += [(upper[i], upper[(i + 1) % 5]), (lower[i], lower[(i + 1) % 5]),
+                  (upper[i], lower[i]), (upper[i], lower[(i + 1) % 5])]
+    return Graph(12, edges)
+
+
+def _relabel(g, rng):
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return Graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 class TestGraphType:
     def test_rejects_loop(self):
         with pytest.raises(ValueError):
@@ -406,13 +424,13 @@ class TestTopologicalClique:
         assert not contains_topological_clique(g, 5)
 
     def test_delta_members_contain_topological_kr(self):
-        for r in (4, 5, 6):
+        for r in range(4, 11):
             for spec in delta_splits(r):
                 w = find_topological_clique(build_family(spec), r)
                 assert w is not None and w.verify(build_family(spec))
 
     def test_efamily_members_contain_topological_kr(self):
-        for r in (4, 5):
+        for r in range(4, 10):
             for spec in efamily_splits(r):
                 w = find_topological_clique(build_family(spec), r)
                 assert w is not None and w.verify(build_family(spec))
@@ -437,11 +455,43 @@ class TestTopologicalClique:
 
     def test_agrees_with_unpruned_search(self):
         rng = random.Random(0x5D)
-        for _ in range(60):
-            n = rng.randint(3, 8)
+        for _ in range(300):
+            n = rng.randint(1, 9)
             g = _random_graph(rng, n, rng.uniform(0.2, 0.9))
-            t = rng.randint(3, 5)
-            assert contains_topological_clique(g, t) == _oracle_topological(g, t)
+            t = rng.randint(1, 6)
+            w = find_topological_clique(g, t)
+            assert (w is not None) == _oracle_topological(g, t)
+            assert w is None or w.verify(g)
+
+    def test_catlin3_has_no_topological_k8(self):
+        # chi(Catlin(3)) = 8, so this refutes Hajos' conjecture (Catlin 1979)
+        assert find_topological_clique(build_family(FamilySpec(FamilyKind.CATLIN, (3,))), 8) is None
+
+    def test_catlin2_has_topological_k5(self):
+        g = build_family(FamilySpec(FamilyKind.CATLIN, (2,)))
+        w = find_topological_clique(g, 5)
+        assert w is not None and w.verify(g)
+
+    @pytest.mark.parametrize("t", [5, 6])
+    def test_icosahedron_has_none(self, t):
+        g = _icosahedron()
+        assert g.edge_count == 30 and all(g.degree(v) == 5 for v in range(12))
+        # planar, so no topological K5 (Kuratowski) and hence no K6 either
+        assert nx.check_planarity(nx.Graph(list(g.edges)))[0]
+        assert find_topological_clique(g, t) is None
+
+    @pytest.mark.parametrize("spec, t, exists", [
+        pytest.param(delta_splits(8)[3], 8, True, id="Delta8"),
+        pytest.param(efamily_splits(8)[len(efamily_splits(8)) // 2], 8, True, id="E8"),
+        pytest.param(FamilySpec(FamilyKind.CATLIN, (3,)), 8, False, id="Catlin3"),
+    ])
+    def test_answer_does_not_depend_on_labelling(self, spec, t, exists):
+        rng = random.Random(0x7E)
+        for _ in range(5):
+            g = _relabel(build_family(spec), rng)
+            w = find_topological_clique(g, t)
+            assert (w is not None) == exists
+            assert w is None or w.verify(g)
 
     def test_clique_witness_implies_chromatic(self):
         rng = random.Random(0x1F)
