@@ -40,6 +40,7 @@ from .errors import AlbertsonError, BudgetExceededError, Graph6Error, Inapplicab
 from .graph_lab import (
     FamilyKind,
     FamilySpec,
+    _is_critical_with_chi,
     _parse_budget,
     build_family,
     chromatic_number,
@@ -47,7 +48,6 @@ from .graph_lab import (
     delta_splits,
     efamily_splits,
     find_topological_clique,
-    is_critical,
     parse_graph6,
     serialize_graph6,
 )
@@ -137,7 +137,7 @@ def _cmd_bound(args) -> int:
     print(f"linear: {lin.value} via {lin.method.rule.value} (raw {_rational(lin.raw)})")
     try:
         lemma = crossing_lemma_lower(n, m)
-        print(f"crossing lemma: {lemma.value} via {lemma.method.kind} (raw {_rational(lemma.raw)})")
+        print(f"crossing lemma: {lemma.value} via {lemma.method.kind.value} (raw {_rational(lemma.raw)})")
     except InapplicableRuleError as exc:
         print(f"crossing lemma: inapplicable ({exc})")
     if n >= 10:
@@ -217,7 +217,7 @@ def _cmd_families(args) -> int:
         print(f"  chromatic number: {chi} (expected {r})")
         ok = ok and chi == r
         if spec.kind in (FamilyKind.DELTA, FamilyKind.EFAMILY):
-            critical = is_critical(g, r, max_n=coloring)
+            critical = _is_critical_with_chi(g, r, chi)
             witness = find_topological_clique(g, r, max_n=subdivision)
             verified = witness is not None and witness.verify(g)
             print(f"  critical({r}): {_yes(critical)}")
@@ -248,7 +248,7 @@ def _cmd_check_list(args) -> int:
             continue
         try:
             chi = chromatic_number(g, max_n=budget.get("coloring"))
-            critical = is_critical(g, args.r, max_n=budget.get("coloring"))
+            critical = _is_critical_with_chi(g, args.r, chi)
             topological = contains_topological_clique(g, args.r,
                                                       max_n=budget.get("subdivision"))
         except BudgetExceededError as exc:

@@ -21,12 +21,32 @@ sampled subgraph gives, for n >= 10 and 0 < p <= 1,
 
 `optimize_p` picks a near-optimal p on the 1/1000 grid; soundness never
 depends on optimality, since every p in (0,1] yields a valid bound.
+With p = u/w in lowest terms the bound is one integer over a known
+denominator,
+
+  cr(n,m,p) = [(24m*u^2 + (206w - 103n*u)*w)*w^(n-4) - 30n^2*(w-u)^(n-2)]
+              / (6u^4 * w^(n-6)),
+
+which is the four terms brought over their common denominator
+6u^4*w^(n-6) (an integer for n >= 6): 4m/p^2, 103n/(6p^3), 103/(3p^4) and
+5n^2(1-p)^(n-2)/p^4 contribute 24m*u^2*w^(n-4), 103n*u*w^(n-3),
+206w^(n-2) and 30n^2*(w-u)^(n-2).
 
 A deterministic counting variant averages a linear rule over all spanned
 s-vertex subgraphs: each edge lies in C(n-2, s-2) of them and each crossing
 of an optimal drawing in at most C(n-4, s-4), so
 
-  cr(G) >= [a*m*C(n-2,s-2) - b*(s-2)*C(n,s)] / C(n-4,s-4).
+  cr(G) >= [a*m*C(n-2,s-2) - b*(s-2)*C(n,s)] / C(n-4,s-4)
+         = (n-2)(n-3)/(s-3) * [a*m/(s-2) - b*n(n-1)/(s(s-1))],
+
+since C(n-2,s-2)/C(n-4,s-4) = (n-2)(n-3)/((s-2)(s-3)) and
+C(n,s)/C(n-4,s-4) = n(n-1)(n-2)(n-3)/(s(s-1)(s-2)(s-3)).  With a = A/d and
+b = B/d over their least common denominator d that is one integer,
+
+  (n-2)(n-3)*[A*m*s(s-1) - B*n(n-1)(s-2)] / (d*s(s-1)(s-2)(s-3)).
+
+Every kernel computes such a numerator in integers, chooses between rules
+by comparing integers, and builds a single Fraction for its result.
 
 Reference values for complete graphs: the Zarankiewicz count
 Z(r) = (1/4)*floor(r/2)*floor((r-1)/2)*floor((r-2)/2)*floor((r-3)/2) is an
@@ -79,23 +99,36 @@ LINEAR_RULES: tuple[LinearRule, ...] = (
 RULE_BY_ID: dict[RuleId, LinearRule] = {rule.id: rule for rule in LINEAR_RULES}
 
 
+# The five rules over their common denominator 6: 6*raw = A*m - B*(n-2).
+_LINEAR_SIXFOLD: tuple[tuple[LinearRule, int, int], ...] = tuple(
+    (rule, int(6 * rule.a), int(6 * rule.b)) for rule in LINEAR_RULES)
+
+
+class MethodKind(Enum):
+    LINEAR = "linear"
+    LEMMA64 = "lemma64"
+    LEMMA311 = "lemma311"
+    PROBABILISTIC = "probabilistic"
+    COUNTING = "counting"
+
+
 @dataclass(frozen=True)
 class Method:
     """Provenance of a crossing lower bound: which inequality, which p/s."""
 
-    kind: str  # "linear" | "lemma64" | "lemma311" | "probabilistic" | "counting"
+    kind: MethodKind
     rule: RuleId | None = None
     p: Fraction | None = None
     s: int | None = None
 
     def describe(self) -> str:
-        if self.kind == "linear":
+        if self.kind is MethodKind.LINEAR:
             return self.rule.value
-        if self.kind == "probabilistic":
+        if self.kind is MethodKind.PROBABILISTIC:
             return f"probabilistic(p={self.p})"
-        if self.kind == "counting":
+        if self.kind is MethodKind.COUNTING:
             return f"counting(s={self.s}, base={self.rule.value})"
-        return self.kind
+        return self.kind.value
 
 
 @dataclass(frozen=True)
@@ -132,8 +165,9 @@ def linear_lower(n: int, m: int) -> CrossingLowerBound:
         raise ValueError(f"linear rules need n >= 3, got {n}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    best = max(LINEAR_RULES, key=lambda rule: rule.raw(n, m))
-    return _clamp_ceil(best.raw(n, m), Method(kind="linear", rule=best.id))
+    best, a6, b6 = max(_LINEAR_SIXFOLD, key=lambda entry: entry[1] * m - entry[2] * (n - 2))
+    return _clamp_ceil(_F(a6 * m - b6 * (n - 2), 6),
+                       Method(kind=MethodKind.LINEAR, rule=best.id))
 
 
 def zarankiewicz(r: int) -> int:
@@ -159,17 +193,15 @@ def crossing_lemma_lower(n: int, m: int) -> CrossingLowerBound:
     """Best applicable cubic bound m^3/(64 n^2) or m^3/(31.1 n^2)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    candidates: list[tuple[Fraction, str]] = []
-    if m >= 4 * n:
-        candidates.append((_F(m**3, 64 * n**2), "lemma64"))
+    # m >= 103n/16 implies m >= 4n, and 10/311 > 1/64: where the 31.1 form
+    # applies it wins
     if 16 * m >= 103 * n:
-        candidates.append((m**3 / (_F(311, 10) * n**2), "lemma311"))
-    if not candidates:
-        raise InapplicableRuleError(
-            f"crossing lemma needs m >= 4n or m >= 103n/16, got n={n}, m={m}"
-        )
-    raw, kind = max(candidates)
-    return _clamp_ceil(raw, Method(kind=kind))
+        return _clamp_ceil(_F(10 * m**3, 311 * n**2), Method(kind=MethodKind.LEMMA311))
+    if m >= 4 * n:
+        return _clamp_ceil(_F(m**3, 64 * n**2), Method(kind=MethodKind.LEMMA64))
+    raise InapplicableRuleError(
+        f"crossing lemma needs m >= 4n or m >= 103n/16, got n={n}, m={m}"
+    )
 
 
 def _as_exact(p) -> Fraction:
@@ -189,11 +221,11 @@ def cr_nmp(n: int, m: int, p) -> CrossingLowerBound:
         raise ValueError(f"cr(n,m,p) needs n >= 10, got {n}")
     if not 0 < p <= 1:
         raise ValueError(f"p must be in (0, 1], got {p}")
-    raw = (4 * m / p**2
-           - _F(103, 6) * n / p**3
-           + _F(103, 3) / p**4
-           - 5 * n**2 * (1 - p) ** (n - 2) / p**4)
-    return _clamp_ceil(raw, Method(kind="probabilistic", p=p))
+    u, w = p.numerator, p.denominator
+    num = ((24 * m * u * u + (206 * w - 103 * n * u) * w) * w ** (n - 4)
+           - 30 * n * n * (w - u) ** (n - 2))
+    return _clamp_ceil(_F(num, 6 * u**4 * w ** (n - 6)),
+                       Method(kind=MethodKind.PROBABILISTIC, p=p))
 
 
 def optimize_p(n: int, m: int) -> Fraction:
@@ -230,6 +262,16 @@ def optimize_p(n: int, m: int) -> Fraction:
     return _F(min(max(k, 1), 1000), 1000)
 
 
+def _counting_terms(n: int, m: int, params: SamplingParams) -> tuple[int, int]:
+    """(numerator, denominator) of the counting bound, unreduced; the
+    denominator d*s(s-1)(s-2)(s-3) depends on s and the base rule only."""
+    s, a, b = params.s, params.base.a, params.base.b
+    d = math.lcm(a.denominator, b.denominator)
+    a_d, b_d = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    num = (n - 2) * (n - 3) * (a_d * m * s * (s - 1) - b_d * n * (n - 1) * (s - 2))
+    return num, d * s * (s - 1) * (s - 2) * (s - 3)
+
+
 def counting_lower(n: int, m: int, params: SamplingParams) -> CrossingLowerBound:
     """Average a linear rule over all spanned s-vertex subgraphs.
 
@@ -240,7 +282,6 @@ def counting_lower(n: int, m: int, params: SamplingParams) -> CrossingLowerBound
     s = params.s
     if s > n:
         raise ValueError(f"sample size s={s} exceeds n={n}")
-    a, b = params.base.a, params.base.b
-    raw = _F(a * m * math.comb(n - 2, s - 2) - b * (s - 2) * math.comb(n, s),
-             math.comb(n - 4, s - 4))
-    return _clamp_ceil(raw, Method(kind="counting", rule=params.base.id, s=s))
+    num, den = _counting_terms(n, m, params)
+    return _clamp_ceil(_F(num, den),
+                       Method(kind=MethodKind.COUNTING, rule=params.base.id, s=s))

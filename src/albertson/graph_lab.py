@@ -421,10 +421,18 @@ def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
     other cliques of g are still cliques of G-e, so the Hall prune stays
     sound.
     """
-    n = g.vertex_count
-    if r >= 2 and any(g.degree(v) == 0 for v in range(n)):
+    if _has_isolated_vertex(g, r):
         return False
-    if chromatic_number(g, max_n=max_n) != r:
+    return _is_critical_with_chi(g, r, chromatic_number(g, max_n=max_n))
+
+
+def _has_isolated_vertex(g: Graph, r: int) -> bool:
+    return r >= 2 and any(g.degree(v) == 0 for v in range(g.vertex_count))
+
+
+def _is_critical_with_chi(g: Graph, r: int, chi: int) -> bool:
+    """is_critical(g, r) for a caller that already computed chi = chi(g)."""
+    if chi != r or _has_isolated_vertex(g, r):
         return False
     adj = _adjacency_masks(g)
     cliques = _cliques(adj)

@@ -40,8 +40,8 @@ from .crossing import (
     RULE_BY_ID,
     RuleId,
     SamplingParams,
+    _counting_terms,
     bipartite_zarankiewicz,
-    counting_lower,
     cr_nmp,
     optimize_p,
     zarankiewicz,
@@ -326,22 +326,23 @@ def lemma357_check(r: int) -> SweepResult:
 
     Uses m = ceil((r-1)n/2) (the minimum-degree count of an r-critical graph)
     and the s = 52 counting bound with inequality (4); requires strict
-    inequality at every order.
+    inequality at every order.  The counting bound is num/den with den fixed
+    by s and the rule, so every margin is the integer 64*num - den*r(r-1)(r-2)(r-3)
+    over the one denominator 64*den.
     """
     if r < 17:
         raise ValueError(f"the counting-bound sweep is stated for r >= 17, got {r}")
     n_lo = -(-357 * r // 100)
     n_hi = 4 * r
-    target = _F(r * (r - 1) * (r - 2) * (r - 3), 64)
+    target64 = r * (r - 1) * (r - 2) * (r - 3)
     params = SamplingParams(s=52)
-    best: tuple[Fraction, int] | None = None
+    margins = []
     for n in range(n_lo, n_hi + 1):
-        m = -(-((r - 1) * n) // 2)
-        margin = counting_lower(n, m, params).raw - target
-        if best is None or margin < best[0]:
-            best = (margin, n)
-    return SweepResult(ok=best[0] > 0, r=r, n_lo=n_lo, n_hi=n_hi,
-                       min_margin=best[0], argmin_n=best[1])
+        num, den = _counting_terms(n, -(-((r - 1) * n) // 2), params)  # den fixed
+        margins.append((64 * num - den * target64, n))
+    margin, argmin_n = min(margins)
+    return SweepResult(ok=margin > 0, r=r, n_lo=n_lo, n_hi=n_hi,
+                       min_margin=_F(margin, 64 * den), argmin_n=argmin_n)
 
 
 def remark2_check(r: int) -> SweepResult:

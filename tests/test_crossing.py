@@ -13,6 +13,8 @@ from albertson import (
     LINEAR_RULES,
     RULE_BY_ID,
     InapplicableRuleError,
+    LinearRule,
+    MethodKind,
     RuleId,
     SamplingParams,
     bipartite_zarankiewicz,
@@ -299,3 +301,134 @@ class TestDeterminism:
             assert optimize_p(26, 240) == optimize_p(26, 240)
             assert cr_nmp(26, 240, optimize_p(26, 240)).raw == \
                 cr_nmp(26, 240, optimize_p(26, 240)).raw
+
+
+# ---------------------------------------------------------------------------
+# oracles: the defining Fraction formulas, kept here only, against the
+# integer-numerator kernels
+
+
+def _oracle_linear(n, m):
+    best = max(LINEAR_RULES, key=lambda rule: rule.raw(n, m))  # first maximum
+    return best.raw(n, m), best.id
+
+
+def _oracle_lemma(n, m):
+    candidates = []
+    if m >= 4 * n:
+        candidates.append((Fraction(m**3, 64 * n**2), MethodKind.LEMMA64))
+    if 16 * m >= 103 * n:
+        candidates.append((m**3 / (Fraction(311, 10) * n**2), MethodKind.LEMMA311))
+    return max(candidates, key=lambda c: c[0]) if candidates else None
+
+
+def _oracle_cr_nmp(n, m, p):
+    return (4 * m / p**2
+            - Fraction(103, 6) * n / p**3
+            + Fraction(103, 3) / p**4
+            - 5 * n**2 * (1 - p) ** (n - 2) / p**4)
+
+
+def _oracle_counting(n, m, s, base):
+    return Fraction(base.a * m * math.comb(n - 2, s - 2)
+                    - base.b * (s - 2) * math.comb(n, s),
+                    math.comb(n - 4, s - 4))
+
+
+def _check_linear(n, m):
+    got = linear_lower(n, m)
+    raw, rule = _oracle_linear(n, m)
+    assert (got.raw, got.method.kind, got.method.rule) == (raw, MethodKind.LINEAR, rule)
+    assert got.value == max(0, math.ceil(raw))
+
+
+def _check_lemma(n, m):
+    want = _oracle_lemma(n, m)
+    if want is None:
+        with pytest.raises(InapplicableRuleError):
+            crossing_lemma_lower(n, m)
+        return
+    got = crossing_lemma_lower(n, m)
+    assert (got.raw, got.method.kind) == want
+
+
+def _check_cr_nmp(n, m, p):
+    got = cr_nmp(n, m, p)
+    assert got.raw == _oracle_cr_nmp(n, m, p)
+    assert (got.method.kind, got.method.p) == (MethodKind.PROBABILISTIC, p)
+
+
+def _check_counting(n, m, s, base):
+    got = counting_lower(n, m, SamplingParams(s=s, base=base))
+    assert got.raw == _oracle_counting(n, m, s, base)
+    assert (got.method.kind, got.method.rule, got.method.s) == \
+        (MethodKind.COUNTING, base.id, s)
+
+
+class TestKernelOracles:
+    @given(st.integers(3, 400), st.integers(0, 20000))
+    def test_linear(self, n, m):
+        _check_linear(n, m)
+
+    @given(st.integers(1, 400), st.integers(-5, 20000))
+    def test_crossing_lemma(self, n, m):
+        _check_lemma(n, m)
+
+    @given(st.integers(10, 150), st.integers(0, 11175),
+           st.fractions(min_value=0, max_value=1, max_denominator=10**4)
+           .filter(lambda p: p > 0))
+    def test_cr_nmp(self, n, m, p):
+        _check_cr_nmp(n, m, p)
+
+    @given(st.integers(5, 300), st.integers(0, 44850), st.integers(5, 300),
+           st.sampled_from(LINEAR_RULES))
+    def test_counting(self, n, m, s, base):
+        _check_counting(n, m, min(s, n), base)
+
+    def test_seeded_draws(self):
+        rng = random.Random(0x0AC1E)
+        for _ in range(1500):
+            n = rng.randint(10, 300)
+            m = rng.randint(0, n * (n - 1) // 2)
+            _check_linear(n, m)
+            _check_lemma(n, m)
+            _check_cr_nmp(n, m, Fraction(rng.randint(1, 1000), 1000))
+            _check_cr_nmp(n, m, Fraction(rng.randint(1, 97), 97))
+            base = rng.choice(LINEAR_RULES)
+            _check_counting(n, m, rng.randint(5, n), base)
+
+    @pytest.mark.parametrize("n", [10, 11, 18, 61, 300])
+    def test_cr_nmp_edge_cases(self, n):
+        for m in (0, 1, 4 * n, n * (n - 1) // 2):
+            for p in (Fraction(1), Fraction(1, 1000), Fraction(999, 1000),
+                      Fraction(1, 2), optimize_p(n, max(m, 1))):
+                _check_cr_nmp(n, m, p)
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_small_orders(self, n):
+        for m in range(0, n * (n - 1) // 2 + 1):
+            _check_linear(n, m)
+            _check_lemma(n, m)
+            for s in range(5, n + 1):
+                for base in LINEAR_RULES:
+                    _check_counting(n, m, s, base)
+
+    def test_counting_s_extremes(self):
+        for n in (5, 6, 52, 61, 300):
+            for m in (0, n, n * (n - 1) // 2):
+                for base in LINEAR_RULES:
+                    _check_counting(n, m, 5, base)
+                    _check_counting(n, m, n, base)
+
+    def test_counting_custom_base_rule(self):
+        base = LinearRule(Fraction(9, 7), Fraction(11, 5), RuleId.EQ2)
+        for n in (5, 9, 40):
+            for s in (5, n):
+                _check_counting(n, 2 * n, s, base)
+
+    def test_lemma_tie_points(self):
+        # m = 4n and 16m = 103n exactly, where a form switches on
+        for n in range(1, 200):
+            _check_lemma(n, 4 * n)
+            _check_lemma(n, -(-103 * n // 16))
+            _check_lemma(n, 103 * n // 16)

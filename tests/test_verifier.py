@@ -2,6 +2,7 @@
 Catlin comparison, report rendering."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -278,6 +279,22 @@ class TestLemma357:
     def test_rejects_small_r(self):
         with pytest.raises(ValueError):
             lemma357_check(16)
+
+    @pytest.mark.parametrize("r", [*range(17, 81), 1000, 3016])
+    def test_matches_comb_sweep(self, r):
+        """The integer-margin sweep against the defining binomial form of the
+        s = 52, inequality (4) counting bound, swept in Fractions."""
+        a, b = Fraction(4), Fraction(103, 6)
+        target = Fraction(r * (r - 1) * (r - 2) * (r - 3), 64)
+        best = None
+        for n in range(-(-357 * r // 100), 4 * r + 1):
+            m = -(-((r - 1) * n) // 2)
+            raw = Fraction(a * m * math.comb(n - 2, 50) - b * 50 * math.comb(n, 52),
+                           math.comb(n - 4, 48))
+            if best is None or raw - target < best[0]:
+                best = (raw - target, n)
+        s = lemma357_check(r)
+        assert (s.ok, s.min_margin, s.argmin_n) == (best[0] > 0, best[0], best[1])
 
 
 class TestRemark2:
