@@ -14,13 +14,17 @@ Families:
               ceil(5k/2), the classical Hajós-conjecture counterexamples.
   Complete(n), Join(spec, spec)  the obvious constructions.
 
+A Graph stores only adjacency bitmasks (bit v of masks[u] is the edge uv),
+and every algorithm below works on them.
+
 Algorithms are exact and budget-guarded: chromatic number by counting k up
 from the largest greedy clique until one k-coloring kernel succeeds (DSATUR
 backtracking on adjacency and color bitmasks, with clique precoloring,
 forward checking, a fresh-color symmetry cap and a Hall count over greedy
 cliques), edge-deletion criticality running the same kernel on each G-e,
 simplicial counts in the degree-(n-1) sense, complement structure
-(components, maximum matching, triangles), and subdivision containment
+(components, triangles, and a maximum matching by the in-repo Edmonds blossom
+algorithm), and subdivision containment
 (topological K_t) by a branch-vertex recursion with a private-vertex count,
 then depth-first routing of chordless paths on bitmasks with reachability
 forward checks.  Budgets default to n <= 40 for coloring and n <= 20 for
@@ -37,15 +41,15 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import BudgetExceededError, Graph6Error, InapplicableRuleError
 
-_COLORING_DEFAULT = 40
-_SUBDIVISION_DEFAULT = 20
-_BUDGET_KEYS = ("coloring", "subdivision")
+# budget key -> (default vertex limit, search named in the error message)
+_BUDGETS = {"coloring": (40, "chromatic_number"), "subdivision": (20, "subdivision")}
 
 
 def _parse_budget(spec: str) -> dict[str, int]:
@@ -57,9 +61,9 @@ def _parse_budget(spec: str) -> dict[str, int]:
         key = key.strip()
         if not sep:
             raise ValueError(f"budget entries look like coloring=50, got {entry!r}")
-        if key not in _BUDGET_KEYS:
+        if key not in _BUDGETS:
             raise ValueError(f"unknown budget key {key!r}; known keys are "
-                             + ", ".join(_BUDGET_KEYS))
+                             + ", ".join(_BUDGETS))
         try:
             limit = int(value)
         except ValueError:
@@ -70,50 +74,61 @@ def _parse_budget(spec: str) -> dict[str, int]:
     return out
 
 
-def _budget(kind: str, override: int | None, default: int) -> int:
-    if override is not None:
-        return override
-    spec = os.environ.get("ALBERTSON_BUDGET", "")
-    if not spec:
-        return default
-    try:
-        return _parse_budget(spec).get(kind, default)
-    except ValueError as exc:
-        raise ValueError(f"bad ALBERTSON_BUDGET: {exc}") from None
+def _check_budget(kind: str, n: int, max_n: int | None) -> None:
+    """Raise BudgetExceededError if n is over the vertex limit: max_n when
+    given, else the ALBERTSON_BUDGET entry for kind, else the default."""
+    limit, search = _BUDGETS[kind]
+    if max_n is not None:
+        limit = max_n
+    elif spec := os.environ.get("ALBERTSON_BUDGET", ""):
+        try:
+            limit = _parse_budget(spec).get(kind, limit)
+        except ValueError as exc:
+            raise ValueError(f"bad ALBERTSON_BUDGET: {exc}") from None
+    if n > limit:
+        raise BudgetExceededError(
+            f"{search} budget is n <= {limit}, got n={n}; raise it via "
+            f"max_n or ALBERTSON_BUDGET={kind}=<N>")
 
 
 class Graph:
-    """Immutable simple graph on vertices 0..vertex_count-1."""
+    """Immutable simple graph on vertices 0..vertex_count-1, stored as
+    adjacency bitmasks; edges (u < v) and neighbor sets derive from them."""
 
-    __slots__ = ("vertex_count", "adjacency", "edges")
+    __slots__ = ("vertex_count", "masks")
 
     def __init__(self, vertex_count: int, edges=()):
         if vertex_count < 0:
             raise ValueError(f"vertex_count must be >= 0, got {vertex_count}")
-        adj = [set() for _ in range(vertex_count)]
-        normalized = set()
+        masks = [0] * vertex_count
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={vertex_count}")
-            a, b = (u, v) if u < v else (v, u)
-            normalized.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.vertex_count = vertex_count
-        self.adjacency = tuple(frozenset(s) for s in adj)
-        self.edges = frozenset(normalized)
+        self.masks = tuple(masks)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, v) for u, mask in enumerate(self.masks) for v in _bits(mask) if u < v)
+
+    @property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(_bits(mask)) for mask in self.masks)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        # a negative shift raises, and v may come from an unchecked witness
+        return v >= 0 and self.masks[u] >> v & 1 == 1
 
     def without_edge(self, u: int, v: int) -> "Graph":
         a, b = (u, v) if u < v else (v, u)
@@ -123,16 +138,14 @@ class Graph:
 
     def complement(self) -> "Graph":
         n = self.vertex_count
-        return Graph(n, (e for e in itertools.combinations(range(n), 2)
-                         if e not in self.edges))
+        return Graph(n, ((u, v) for u, v in itertools.combinations(range(n), 2)
+                         if not self.has_edge(u, v)))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Graph)
-                and self.vertex_count == other.vertex_count
-                and self.edges == other.edges)
+        return isinstance(other, Graph) and self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self.edges))
+        return hash(self.masks)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
@@ -309,11 +322,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _adjacency_masks(g: Graph) -> list[int]:
-    return [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
-
-
-def _cliques(adj: list[int]) -> list[int]:
+def _cliques(adj: Sequence[int]) -> list[int]:
     """One greedy maximal clique per seed vertex, as bitmasks, without
     duplicates and largest first.  Each grows by the candidate with the most
     neighbors among the remaining candidates, lowest label on ties."""
@@ -328,7 +337,7 @@ def _cliques(adj: list[int]) -> list[int]:
     return sorted(found, key=lambda c: (-c.bit_count(), c))
 
 
-def _k_colorable(adj: list[int], k: int, cliques: list[int]) -> bool:
+def _k_colorable(adj: Sequence[int], k: int, cliques: list[int]) -> bool:
     """Exact k-colorability of the graph with adjacency bitmasks adj.
 
     cliques must be cliques of this graph, largest first.  The largest is
@@ -392,21 +401,20 @@ def _k_colorable(adj: list[int], k: int, cliques: list[int]) -> bool:
     return solve(colors, uncolored, root.bit_count())
 
 
-def chromatic_number(g: Graph, max_n: int | None = None) -> int:
-    """Exact chromatic number: k counts up from the largest clique found
-    until the graph is k-colorable."""
-    n = g.vertex_count
-    limit = _budget("coloring", max_n, _COLORING_DEFAULT)
-    if n > limit:
-        raise BudgetExceededError(
-            f"chromatic_number budget is n <= {limit}, got n={n}; raise it via "
-            f"max_n or ALBERTSON_BUDGET=coloring=<N>")
-    adj = _adjacency_masks(g)
-    cliques = _cliques(adj)
+def _count_up(adj: Sequence[int], cliques: list[int]) -> int:
+    """Chromatic number: k counts up from the largest clique until the graph
+    is k-colorable."""
     k = cliques[0].bit_count() if cliques else 0
     while not _k_colorable(adj, k, cliques):
         k += 1
     return k
+
+
+def chromatic_number(g: Graph, max_n: int | None = None) -> int:
+    """Exact chromatic number: k counts up from the largest clique found
+    until the graph is k-colorable."""
+    _check_budget("coloring", g.vertex_count, max_n)
+    return _count_up(g.masks, _cliques(g.masks))
 
 
 def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
@@ -423,21 +431,27 @@ def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
     """
     if _has_isolated_vertex(g, r):
         return False
-    return _is_critical_with_chi(g, r, chromatic_number(g, max_n=max_n))
+    _check_budget("coloring", g.vertex_count, max_n)
+    cliques = _cliques(g.masks)
+    return _count_up(g.masks, cliques) == r and _edges_critical(g, r, cliques)
 
 
 def _has_isolated_vertex(g: Graph, r: int) -> bool:
-    return r >= 2 and any(g.degree(v) == 0 for v in range(g.vertex_count))
+    return r >= 2 and 0 in g.masks
 
 
 def _is_critical_with_chi(g: Graph, r: int, chi: int) -> bool:
     """is_critical(g, r) for a caller that already computed chi = chi(g)."""
-    if chi != r or _has_isolated_vertex(g, r):
-        return False
-    adj = _adjacency_masks(g)
-    cliques = _cliques(adj)
+    return (chi == r and not _has_isolated_vertex(g, r)
+            and _edges_critical(g, r, _cliques(g.masks)))
+
+
+def _edges_critical(g: Graph, r: int, cliques: list[int]) -> bool:
+    """True iff every G-e of the chi = r graph g, whose cliques these are,
+    is (r-1)-colorable."""
+    adj = g.masks
     for u, v in sorted(g.edges):
-        without = adj[:]
+        without = list(adj)
         without[u] ^= 1 << v
         without[v] ^= 1 << u
         both = 1 << u | 1 << v
@@ -474,33 +488,95 @@ class ComplementAnalysis:
 def complement_analysis(g: Graph) -> ComplementAnalysis:
     """Component count, exact maximum matching size, and triangle presence in
     the complement of g."""
-    comp = g.complement()
-    n = comp.vertex_count
-    seen = [False] * n
-    components = 0
-    for start in range(n):
-        if seen[start]:
-            continue
+    comp = g.complement().masks
+    components, unseen = 0, (1 << len(comp)) - 1
+    while unseen:
         components += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            for u in comp.adjacency[stack.pop()]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-    has_triangle = any(comp.adjacency[u] & comp.adjacency[v] for u, v in comp.edges)
-    if comp.edges:
-        import networkx as nx
-
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(n))
-        nxg.add_edges_from(comp.edges)
-        matching = len(nx.max_weight_matching(nxg, maxcardinality=True))
-    else:
-        matching = 0
-    return ComplementAnalysis(components=components, max_matching=matching,
+        reached, grown = 0, unseen & -unseen
+        while grown != reached:
+            reached = grown
+            for v in _bits(reached):
+                grown |= comp[v]
+        unseen &= ~reached
+    has_triangle = any(comp[u] & comp[v] for u in range(len(comp)) for v in _bits(comp[u]))
+    return ComplementAnalysis(components=components, max_matching=_max_matching(comp),
                               has_triangle=has_triangle)
+
+
+def _max_matching(adj: Sequence[int]) -> int:
+    """Size of a maximum matching of the graph with adjacency bitmasks adj,
+    by Edmonds' blossom algorithm (Edmonds 1965).
+
+    Each still unmatched vertex roots a breadth-first alternating tree; a
+    vertex of the queue is an outer (even) vertex.  An edge between two
+    outer vertices of the tree closes an odd cycle, a blossom: every vertex
+    on it is given the base of the blossom, and its inner vertices become
+    outer too.  An edge to an unmatched vertex off the tree ends an
+    augmenting path, which is flipped along the parent links.  A vertex
+    that roots no augmenting path never roots one later, so one pass over
+    the vertices suffices (Berge 1957 for maximality).
+    """
+    n = len(adj)
+    match = [-1] * n
+
+    def augment(root: int) -> bool:
+        base = list(range(n))
+        parent = [-1] * n
+        outer = 1 << root
+        queue = [root]
+
+        def lowest_common_base(a: int, b: int) -> int:
+            path = 0
+            while True:
+                a = base[a]
+                path |= 1 << a
+                if match[a] == -1:
+                    break
+                a = parent[match[a]]
+            while not path >> base[b] & 1:
+                b = parent[match[base[b]]]
+            return base[b]
+
+        def mark(v: int, top: int, child: int) -> int:
+            """Walk from the outer vertex v down the tree to the blossom
+            base top, linking each outer vertex passed to its neighbor
+            around the odd cycle (first child), so that an augmenting path
+            can leave the blossom through it; returns the bases passed."""
+            bases = 0
+            while base[v] != top:
+                bases |= 1 << base[v] | 1 << base[match[v]]
+                parent[v] = child
+                child = match[v]
+                v = parent[child]
+            return bases
+
+        for v in queue:
+            for to in _bits(adj[v]):
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or match[to] != -1 and parent[match[to]] != -1:
+                    top = lowest_common_base(v, to)
+                    blossom = mark(v, top, to) | mark(to, top, v)
+                    for w in range(n):
+                        if blossom >> base[w] & 1:
+                            base[w] = top
+                            if not outer >> w & 1:
+                                outer |= 1 << w
+                                queue.append(w)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        while to != -1:
+                            mate = parent[to]
+                            after = match[mate]
+                            match[to], match[mate] = mate, to
+                            to = after
+                        return True
+                    outer |= 1 << match[to]
+                    queue.append(match[to])
+        return False
+
+    return sum(1 for v in range(n) if match[v] == -1 and augment(v))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +627,7 @@ class SubdivisionWitness:
         return True
 
 
-def _reaches(adj: list[int], start: int, allowed: int, goal: int) -> bool:
+def _reaches(adj: Sequence[int], start: int, allowed: int, goal: int) -> bool:
     """True iff a walk from start through vertices of allowed reaches a
     vertex of goal & allowed (breadth-first search over bitmasks)."""
     goal &= allowed
@@ -567,7 +643,7 @@ def _reaches(adj: list[int], start: int, allowed: int, goal: int) -> bool:
     return False
 
 
-def _route(adj: list[int], pairs: list[tuple[int, int]],
+def _route(adj: Sequence[int], pairs: list[tuple[int, int]],
            free: int) -> dict[tuple[int, int], tuple[int, ...]] | None:
     """First system of internally disjoint chordless paths joining the
     pairs, none of them adjacent, routed in order with internal vertices
@@ -638,14 +714,10 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     n = g.vertex_count
-    limit = _budget("subdivision", max_n, _SUBDIVISION_DEFAULT)
-    if n > limit:
-        raise BudgetExceededError(
-            f"subdivision budget is n <= {limit}, got n={n}; raise it via "
-            f"max_n or ALBERTSON_BUDGET=subdivision=<N>")
+    _check_budget("subdivision", n, max_n)
     if t == 0:
         return SubdivisionWitness(t=0, branch_vertices=(), paths=())
-    adj = _adjacency_masks(g)
+    adj = g.masks
     candidates = sorted((v for v in range(n) if adj[v].bit_count() >= t - 1),
                         key=lambda v: (-adj[v].bit_count(), v))
     free_all = (1 << n) - 1

@@ -1,10 +1,13 @@
-"""Golden outputs: sha256 digests of every report rendering for r = 5..30
-and of `bound`, `counting` and `lemma357` stdout on a fixed grid.
+"""Golden outputs: sha256 digests of every report rendering for r = 5..30,
+of `bound`, `counting` and `lemma357` stdout on a fixed grid, and of the
+graph-lab commands `families` and `check-list`.
 
-The digests in golden_digests.json were recorded from the Fraction-sum
-kernels that the integer-numerator kernels of `crossing` replaced, so any
-byte that the rewrite moved shows up here.  Regenerate them only for an
-intended change of output, from the repository root:
+The arithmetic digests in golden_digests.json were recorded from the
+Fraction-sum kernels that the integer-numerator kernels of `crossing`
+replaced, and the graph-lab digests from the frozenset-backed `Graph` that
+the bitmask-backed one replaced, so any byte that a rewrite moved shows up
+here.  Regenerate them only for an intended change of output, from the
+repository root:
 `PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json`.
 """
 
@@ -12,6 +15,7 @@ import contextlib
 import hashlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 from albertson import ReportFormat, render_report, verify_albertson
@@ -57,6 +61,54 @@ def _lemma357_argvs() -> list[list[str]]:
     return [["lemma357", "--r", str(r)] for r in (*range(17, 41), 200, 1000)]
 
 
+def _families_argvs() -> list[list[str]]:
+    argvs = [["families", "--kind", kind, "--r", str(r)]
+             for kind in ("Delta", "EFamily") for r in range(3, 8)]
+    argvs += [["families", "--kind", "Delta", "--sizes", "3,1,3"],
+              ["families", "--kind", "Catlin", "--k", "2"],
+              ["families", "--kind", "Complete", "--n", "5"],
+              ["families", "--kind", "EFamily", "--r", "5",
+               "--budget", "coloring=12,subdivision=9"]]
+    return argvs
+
+
+# graph6 input of `check-list`: Delta members for r = 4, 5, 6, EFamily
+# members for r = 5, 6, Catlin(2), the icosahedron, the Groetzsch graph, the
+# Petersen graph, K5, a Delta(11) member (n = 21, over the default
+# subdivision budget), five seeded random graphs, a comment, a blank line
+# and a malformed line
+CHECK_LIST = """# candidate critical graphs
+F`Neo
+HwCW~re
+H~?GX~M
+J~?GW[N~fb?
+J~{?GKF^{N?
+I~KwW^Bow
+K|fIJCpEG[_^
+JhdLA_gc?N_
+IheA@GUAo
+
+D~{
+T~~~~~~???_B?F?F_Bw?~?F{?^w?~~~_B~n}
+E|QW
+GZkhH{
+H~?G!~M
+H|T^IB~
+I[vy\\]Kto
+JAV\\T|Z^tZ_
+"""
+
+
+def check_list_digests() -> dict[str, str]:
+    """Digests keyed by argv with the temporary file's path left out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "candidates.g6")
+        path.write_text(CHECK_LIST, encoding="utf-8")
+        return {f"check-list --r {r}": _cli_digest(["check-list", "--file", str(path),
+                                                    "--r", str(r)])
+                for r in (4, 5, 6)}
+
+
 def report_digests() -> dict[str, str]:
     digests = {}
     for r in range(5, 31):
@@ -74,7 +126,9 @@ def all_digests() -> dict[str, dict[str, str]]:
     return {"reports": report_digests(),
             "bound": cli_digests(_bound_argvs()),
             "counting": cli_digests(_counting_argvs()),
-            "lemma357": cli_digests(_lemma357_argvs())}
+            "lemma357": cli_digests(_lemma357_argvs()),
+            "families": cli_digests(_families_argvs()),
+            "check-list": check_list_digests()}
 
 
 def _golden(group: str) -> dict[str, str]:
@@ -95,6 +149,14 @@ def test_counting_stdout_unchanged():
 
 def test_lemma357_stdout_unchanged():
     assert cli_digests(_lemma357_argvs()) == _golden("lemma357")
+
+
+def test_families_stdout_unchanged():
+    assert cli_digests(_families_argvs()) == _golden("families")
+
+
+def test_check_list_stdout_unchanged():
+    assert check_list_digests() == _golden("check-list")
 
 
 if __name__ == "__main__":

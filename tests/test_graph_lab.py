@@ -1,6 +1,7 @@
 """Small-graph laboratory: family constructors, exact coloring, criticality,
 simplicial/complement analysis, topological clique search, graph6 round-trips."""
 
+import dataclasses
 import itertools
 import random
 
@@ -46,12 +47,13 @@ def _oracle_chromatic(g):
     if n == 0:
         return 0
     colors = [0] * n
+    adjacency = g.adjacency  # derived from the masks on each access
 
     def feasible(v, k):
         if v == n:
             return True
         for c in range(1, k + 1):
-            if all(colors[w] != c for w in g.adjacency[v] if w < v):
+            if all(colors[w] != c for w in adjacency[v] if w < v):
                 colors[v] = c
                 if feasible(v + 1, k):
                     return True
@@ -67,9 +69,10 @@ def _oracle_chromatic(g):
 def _all_paths(g, u, v, banned, used):
     """Every simple u-v path whose internal vertices avoid banned | used."""
     out = []
+    adjacency = g.adjacency
 
     def dfs(cur, path):
-        for w in g.adjacency[cur]:
+        for w in adjacency[cur]:
             if w == v:
                 out.append(path + (v,))
                 continue
@@ -173,6 +176,23 @@ class TestGraphType:
         assert g.edge_count == 5
         with pytest.raises(ValueError):
             g.without_edge(0, 1)
+
+    @given(st.integers(0, 9), st.integers(0, 10**6))
+    def test_masks_edges_and_adjacency_agree(self, n, seed):
+        rng = random.Random(seed)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+        assert g.edges == frozenset(edges) and g.edge_count == len(edges)
+        assert g.masks == tuple(sum(1 << w for w in nbrs) for nbrs in g.adjacency)
+        assert all(g.degree(v) == len(g.adjacency[v]) for v in range(n))
+        assert all(g.has_edge(u, v) == ((min(u, v), max(u, v)) in g.edges)
+                   for u in range(n) for v in range(n))
+
+    def test_has_edge_outside_the_vertex_range(self):
+        g = complete_graph(4)
+        assert not any(g.has_edge(0, v) for v in (-1, -4, -5, 4, 64))
+        with pytest.raises(ValueError):
+            g.without_edge(0, -1)
 
     @given(st.integers(0, 8), st.integers(0, 10**6))
     def test_complement_involution(self, n, seed):
@@ -394,8 +414,21 @@ class TestComplementAnalysis:
 
     def test_matching_agrees_with_networkx(self):
         rng = random.Random(7)
-        for _ in range(25):
-            g = _random_graph(rng, rng.randint(1, 12), rng.uniform(0.2, 0.9))
+        graphs = [_random_graph(rng, rng.randint(1, 12), rng.uniform(0.2, 0.9))
+                  for _ in range(25)]
+        rng = random.Random(0xB1)
+        graphs += [_random_graph(rng, rng.randint(1, 16), rng.uniform(0.2, 0.95))
+                   for _ in range(400)]
+        # complements whose maximum matchings need blossom contraction
+        two_triangles = Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5),
+                                  (5, 6), (6, 7), (5, 7)])
+        # found by a random search: one of its blossoms has to be marked from
+        # both ends of the edge that closes it
+        both_sides = Graph(12, [(0, 5), (0, 8), (0, 11), (2, 3), (2, 4), (2, 7), (2, 8),
+                                (3, 7), (3, 9), (4, 6), (5, 6), (5, 9)])
+        graphs += [h.complement() for h in (cycle_graph(5), cycle_graph(7), _petersen(),
+                                            two_triangles, both_sides)]
+        for g in graphs:
             comp = g.complement()
             h = nx.Graph()
             h.add_nodes_from(range(comp.vertex_count))
@@ -447,6 +480,21 @@ class TestTopologicalClique:
     def test_witness_verify_rejects_other_graph(self):
         w = find_topological_clique(cycle_graph(4), 3)
         assert not w.verify(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+
+    @pytest.mark.parametrize("spec, pair, path", [
+        pytest.param(delta_splits(5)[0], (7, 8), (7, -1, 4, 8), id="vertex -1"),
+        pytest.param(delta_splits(5)[0], (7, 8), (7, 9, 4, 8), id="vertex n"),
+        # the Delta5 witness has one path with internal vertices, so sharing
+        # with valid edges needs the four open paths of this E5 witness
+        pytest.param(efamily_splits(5)[1], (3, 8), (3, 0, 8), id="shared internal"),
+        pytest.param(delta_splits(5)[0], (0, 1), (0, 2, 1), id="internal branch"),
+    ])
+    def test_witness_verify_rejects_tampered_paths(self, spec, pair, path):
+        g = build_family(spec)
+        w = find_topological_clique(g, spec.r)
+        assert w.verify(g) and pair in w.path_map()
+        paths = tuple((p, path if p == pair else old) for p, old in w.paths)
+        assert not dataclasses.replace(w, paths=paths).verify(g)
 
     def test_trivial_sizes(self):
         assert contains_topological_clique(Graph(1, []), 1)

@@ -1,11 +1,17 @@
-"""Source checks: no float takes part in the exact arithmetic layers.
+"""Source checks: no float takes part in the exact arithmetic layers, and
+the package runs without networkx.
 
 An AST scan of `bounds`, `crossing` and `verifier` rejects every float
 literal and every `float(...)` call.  The only exemptions are the display
 helpers of `verifier` that print a decimal rendering next to an exact value.
+networkx is a test-only oracle: a subprocess that blocks its import still
+runs the graph lab and the CLI.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +64,27 @@ def test_scan_catches_planted_floats():
               "def show(x):\n    return f'{float(x):.3f} {1e3}'\n"
               "def h(x):\n    return isinstance(x, float)\n")
     assert float_uses(source, {"show"}) == ["2: float literal 0.5", "4: float(...) call"]
+
+
+WITHOUT_NETWORKX = """
+import sys
+sys.modules["networkx"] = None  # any import of networkx now raises ImportError
+from albertson import Graph, complement_analysis, cycle_graph
+from albertson.cli import run
+for g in (cycle_graph(5), cycle_graph(7), Graph(6, [(0, 1), (2, 3)]), Graph(0)):
+    res = complement_analysis(g)
+    print(res.components, res.max_matching, res.has_triangle)
+sys.exit(run(["families", "--kind", "Delta", "--r", "5"]))
+"""
+
+
+def test_runs_without_networkx():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NETWORKX], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:4] == ["1 2 False", "1 3 True", "1 3 True", "0 0 False"]
+    assert lines[4].startswith("Delta sizes=3,1,3: n=9 m=19")
+    assert "  topological K5: yes (witness verified)" in lines
