@@ -21,14 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import InapplicableRuleError
-
-# Exact rational scalar used throughout the toolkit.  fractions.Fraction is
-# always in lowest terms with positive denominator and all its arithmetic
-# (including ** with integer exponents and exact comparison) is exact.
-Rational = Fraction
 
 
 class Rule(Enum):
@@ -138,7 +132,5 @@ def join_refined_edges(r: int) -> EdgeBound:
     if r < 4:
         raise ValueError(f"r must be >= 4, got {r}")
     params = CriticalParams(r=r, n=2 * r - 2)
-    base = gallai_edges(params)
-    m_min = base.m_min + -(-(r - 2) // 2)
-    return EdgeBound(m_min=m_min, rule=Rule.JOIN_REFINED,
-                     excess=2 * m_min - (r - 1) * params.n)
+    m_min = gallai_edges(params).m_min + -(-(r - 2) // 2)
+    return _bound(params, 2 * m_min, Rule.JOIN_REFINED)

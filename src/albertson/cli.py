@@ -8,13 +8,15 @@ builds and checks the structured families, and `check-list` ingests a graph6
 file and checks each graph for criticality and topological-K_r containment.
 
 Exit status: 0 when the requested verification succeeded, 1 when it ran but
-left gaps or failures, 2 for usage, domain, or resource errors.  Identical
+left gaps or failures or stdout was closed early, 2 for usage, domain, or
+resource errors.  Identical
 invocations produce byte-identical output; every non-integer number is
 printed as an exact rational with a 4-decimal rendering alongside.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -44,7 +46,6 @@ from .graph_lab import (
     _parse_budget,
     build_family,
     chromatic_number,
-    contains_topological_clique,
     delta_splits,
     efamily_splits,
     find_topological_clique,
@@ -134,10 +135,10 @@ def _cmd_bound(args) -> int:
     n, m = args.n, args.m
     print(f"n = {n}, m = {m}")
     lin = linear_lower(n, m)
-    print(f"linear: {lin.value} via {lin.method.rule.value} (raw {_rational(lin.raw)})")
+    print(f"linear: {lin.value} via {lin.method.describe()} (raw {_rational(lin.raw)})")
     try:
         lemma = crossing_lemma_lower(n, m)
-        print(f"crossing lemma: {lemma.value} via {lemma.method.kind.value} (raw {_rational(lemma.raw)})")
+        print(f"crossing lemma: {lemma.value} via {lemma.method.describe()} (raw {_rational(lemma.raw)})")
     except InapplicableRuleError as exc:
         print(f"crossing lemma: inapplicable ({exc})")
     if n >= 10:
@@ -203,6 +204,12 @@ def _family_specs(args) -> list[FamilySpec]:
     return list(splits(args.r))
 
 
+def _has_verified_tk(g, r: int, max_n: int | None) -> bool:
+    """Topological K_r present: the search found a witness and it checks out."""
+    witness = find_topological_clique(g, r, max_n=max_n)
+    return witness is not None and witness.verify(g)
+
+
 def _cmd_families(args) -> int:
     budget = args.budget or {}
     coloring = budget.get("coloring")
@@ -218,8 +225,7 @@ def _cmd_families(args) -> int:
         ok = ok and chi == r
         if spec.kind in (FamilyKind.DELTA, FamilyKind.EFAMILY):
             critical = _is_critical_with_chi(g, r, chi)
-            witness = find_topological_clique(g, r, max_n=subdivision)
-            verified = witness is not None and witness.verify(g)
+            verified = _has_verified_tk(g, r, subdivision)
             print(f"  critical({r}): {_yes(critical)}")
             print(f"  topological K{r}: "
                   + ("yes (witness verified)" if verified else "no"))
@@ -249,8 +255,7 @@ def _cmd_check_list(args) -> int:
         try:
             chi = chromatic_number(g, max_n=budget.get("coloring"))
             critical = _is_critical_with_chi(g, args.r, chi)
-            topological = contains_topological_clique(g, args.r,
-                                                      max_n=budget.get("subdivision"))
+            topological = _has_verified_tk(g, args.r, budget.get("subdivision"))
         except BudgetExceededError as exc:
             print(f"{index}: budget exceeded: {exc}")
             ok = False
@@ -342,7 +347,15 @@ def run(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send the interpreter's final flush to
+        # devnull so it cannot raise again, and exit quietly with status 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Families:
   Catlin(k)   the 5-cycle with each vertex blown up into a k-clique and each
               cycle edge into a complete bipartite K_{k,k}; chromatic number
               ceil(5k/2), the classical Hajós-conjecture counterexamples.
-  Complete(n), Join(spec, spec)  the obvious constructions.
+  Complete(n)  the complete graph.
 
 A Graph stores only adjacency bitmasks (bit v of masks[u] is the edge uv),
 and every algorithm below works on them.
@@ -180,29 +180,19 @@ class FamilyKind(Enum):
     EFAMILY = "EFamily"
     CATLIN = "Catlin"
     COMPLETE = "Complete"
-    JOIN = "Join"
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """Construction recipe: part sizes for Delta (|A|, |B1|, |B2|) and
-    EFamily (|A1|, |A2|, |B1|, |B2|), (k,) for Catlin, (n,) for Complete,
-    and two nested specs for Join."""
+    EFamily (|A1|, |A2|, |B1|, |B2|), (k,) for Catlin and (n,) for
+    Complete."""
 
     kind: FamilyKind
     sizes: tuple[int, ...] = ()
-    parts: tuple["FamilySpec", ...] = ()
 
     def validate(self) -> None:
         kind, sizes = self.kind, self.sizes
-        if kind is FamilyKind.JOIN:
-            if sizes or len(self.parts) != 2:
-                raise ValueError("Join takes exactly two nested specs and no sizes")
-            for part in self.parts:
-                part.validate()
-            return
-        if self.parts:
-            raise ValueError(f"{kind.value} takes no nested specs")
         if kind is FamilyKind.DELTA:
             if len(sizes) != 3 or any(s < 1 for s in sizes):
                 raise ValueError("Delta needs three positive sizes (|A|, |B1|, |B2|)")
@@ -225,17 +215,15 @@ class FamilySpec:
                 raise ValueError("Complete needs one size n >= 0")
 
     @property
-    def r(self) -> int | None:
-        """Intended chromatic number, where the family pins one down."""
+    def r(self) -> int:
+        """Intended chromatic number of the family member."""
         if self.kind is FamilyKind.DELTA:
             return self.sizes[0] + 2
         if self.kind is FamilyKind.EFAMILY:
             return self.sizes[0] + self.sizes[1] + 1
         if self.kind is FamilyKind.CATLIN:
             return -(-5 * self.sizes[0] // 2)
-        if self.kind is FamilyKind.COMPLETE:
-            return max(self.sizes[0], 0) or 0
-        return None
+        return max(self.sizes[0], 0)
 
 
 def build_family(spec: FamilySpec) -> Graph:
@@ -244,8 +232,6 @@ def build_family(spec: FamilySpec) -> Graph:
     kind = spec.kind
     if kind is FamilyKind.COMPLETE:
         return complete_graph(spec.sizes[0])
-    if kind is FamilyKind.JOIN:
-        return join(build_family(spec.parts[0]), build_family(spec.parts[1]))
     if kind is FamilyKind.CATLIN:
         return _catlin_graph(spec.sizes[0])
     if kind is FamilyKind.DELTA:

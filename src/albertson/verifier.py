@@ -40,6 +40,7 @@ from .crossing import (
     RULE_BY_ID,
     RuleId,
     SamplingParams,
+    _as_exact,
     _counting_terms,
     bipartite_zarankiewicz,
     cr_nmp,
@@ -189,9 +190,7 @@ def _tail_intercept(r: int, p: Fraction) -> Fraction:
 def tail_certificate(r: int, p, n0: int) -> TailCertificate:
     """Evaluate the three tail conditions exactly; invalid certificates are
     returned, not raised."""
-    if isinstance(p, float):
-        raise TypeError("p must be exact (Fraction, int or string), not float")
-    p = Fraction(p)
+    p = _as_exact(p)
     if n0 < max(10, r + 5):
         raise ValueError(f"n0 must be >= max(10, r+5), got n0={n0} for r={r}")
     if not 0 < p <= 1:
@@ -496,7 +495,7 @@ def _render_structured(report: VerificationReport) -> str:
 
 def render_report(report: VerificationReport, format: ReportFormat | str) -> str:
     """Deterministic text rendering; `format` is a ReportFormat or its value."""
-    fmt = ReportFormat(format) if not isinstance(format, ReportFormat) else format
+    fmt = ReportFormat(format)
     if fmt is ReportFormat.MARKDOWN:
         return _render_markdown(report)
     if fmt is ReportFormat.CSV:

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, output shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import albertson
 from albertson.cli import run
 
 
@@ -211,6 +216,15 @@ class TestCheckList:
         assert code == 0
         assert "1: n=6 m=10 chi=4 critical(4)=yes topological K4=yes" in out
 
+    def test_unverified_witness_is_no(self, capsys, tmp_path, monkeypatch):
+        # a witness that fails its check does not count as a topological K4
+        monkeypatch.setattr(albertson.SubdivisionWitness, "verify", lambda self, g: False)
+        path = tmp_path / "good.g6"
+        path.write_text("E|fG\n")
+        code, out, _ = invoke(capsys, "check-list", "--file", str(path), "--r", "4")
+        assert code == 1
+        assert "1: n=6 m=10 chi=4 critical(4)=yes topological K4=no" in out
+
     def test_budget_reported_per_line(self, capsys, tmp_path):
         path = tmp_path / "big.g6"
         from albertson import Graph, serialize_graph6
@@ -256,3 +270,20 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert "--budget" in err
+
+
+class TestClosedStdout:
+    def test_closed_read_end_exits_quietly(self):
+        # the read end is closed before the child starts, so its first write fails
+        src = Path(albertson.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "albertson.cli", "verify", "--r", "17"],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")

@@ -1,6 +1,7 @@
 """Golden outputs: sha256 digests of every report rendering for r = 5..30,
-of `bound`, `counting` and `lemma357` stdout on a fixed grid, and of the
-graph-lab commands `families` and `check-list`.
+of `verify`, `table`, `edges`, `bound`, `counting`, `lemma357` and `catlin`
+stdout on a fixed grid, and of the graph-lab commands `families` and
+`check-list`.
 
 The arithmetic digests in golden_digests.json were recorded from the
 Fraction-sum kernels that the integer-numerator kernels of `crossing`
@@ -33,6 +34,26 @@ def _cli_digest(argv: list[str]) -> str:
     with contextlib.redirect_stdout(out):
         code = run(argv)
     return _digest(f"exit {code}\n{out.getvalue()}")
+
+
+def _verify_argvs() -> list[list[str]]:
+    # markdown adds the reference-comparison notes to the report
+    return [["verify", "--r", str(r)] for r in range(5, 31)]
+
+
+def _table_argvs() -> list[list[str]]:
+    return [["table", "--r", str(r)] for r in range(5, 31)]
+
+
+def _edges_argvs() -> list[list[str]]:
+    # n = 2r-2 adds the join refinement; n = r+1 is rejected with exit 2
+    argvs = [["edges", "--r", str(r), "--n", str(n)]
+             for r in range(5, 18) for n in (r + 2, 2 * r - 2, 2 * r - 1, 3 * r)]
+    return argvs + [["edges", "--r", "13", "--n", "14"]]
+
+
+def _catlin_argvs() -> list[list[str]]:
+    return [["catlin", "--k", str(k)] for k in (1, 12, 60)]
 
 
 def _bound_argvs() -> list[list[str]]:
@@ -68,7 +89,10 @@ def _families_argvs() -> list[list[str]]:
               ["families", "--kind", "Catlin", "--k", "2"],
               ["families", "--kind", "Complete", "--n", "5"],
               ["families", "--kind", "EFamily", "--r", "5",
-               "--budget", "coloring=12,subdivision=9"]]
+               "--budget", "coloring=12,subdivision=9"],
+              # prints the chromatic number, then stops with exit 2 on the
+              # default subdivision budget (n = 21)
+              ["families", "--kind", "Delta", "--r", "11"]]
     return argvs
 
 
@@ -124,9 +148,13 @@ def cli_digests(argvs: list[list[str]]) -> dict[str, str]:
 
 def all_digests() -> dict[str, dict[str, str]]:
     return {"reports": report_digests(),
+            "verify": cli_digests(_verify_argvs()),
+            "table": cli_digests(_table_argvs()),
+            "edges": cli_digests(_edges_argvs()),
             "bound": cli_digests(_bound_argvs()),
             "counting": cli_digests(_counting_argvs()),
             "lemma357": cli_digests(_lemma357_argvs()),
+            "catlin": cli_digests(_catlin_argvs()),
             "families": cli_digests(_families_argvs()),
             "check-list": check_list_digests()}
 
@@ -139,6 +167,18 @@ def test_report_renderings_unchanged():
     assert report_digests() == _golden("reports")
 
 
+def test_verify_stdout_unchanged():
+    assert cli_digests(_verify_argvs()) == _golden("verify")
+
+
+def test_table_stdout_unchanged():
+    assert cli_digests(_table_argvs()) == _golden("table")
+
+
+def test_edges_stdout_unchanged():
+    assert cli_digests(_edges_argvs()) == _golden("edges")
+
+
 def test_bound_stdout_unchanged():
     assert cli_digests(_bound_argvs()) == _golden("bound")
 
@@ -149,6 +189,10 @@ def test_counting_stdout_unchanged():
 
 def test_lemma357_stdout_unchanged():
     assert cli_digests(_lemma357_argvs()) == _golden("lemma357")
+
+
+def test_catlin_stdout_unchanged():
+    assert cli_digests(_catlin_argvs()) == _golden("catlin")
 
 
 def test_families_stdout_unchanged():

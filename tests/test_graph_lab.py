@@ -246,13 +246,6 @@ class TestFamilies:
         assert wheel.vertex_count == 6
         assert chromatic_number(wheel) == 4
 
-    def test_join_spec_nested(self):
-        spec = FamilySpec(FamilyKind.JOIN, parts=(
-            FamilySpec(FamilyKind.COMPLETE, sizes=(1,)),
-            FamilySpec(FamilyKind.DELTA, sizes=(1, 1, 1))))
-        g = build_family(spec)
-        assert g == join(complete_graph(1), build_family(spec.parts[1]))
-
     def test_validate_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             FamilySpec(FamilyKind.DELTA, sizes=(2, 1, 1)).validate()
@@ -265,11 +258,6 @@ class TestFamilies:
         # |A2| + |B2| must stay below r = |A1|+|A2|+1
         with pytest.raises(ValueError):
             FamilySpec(FamilyKind.EFAMILY, sizes=(1, 3, 1, 3)).validate()
-
-    def test_validate_rejects_join_arity(self):
-        with pytest.raises(ValueError):
-            FamilySpec(FamilyKind.JOIN, parts=(
-                FamilySpec(FamilyKind.COMPLETE, sizes=(1,)),)).validate()
 
 
 class TestChromatic:
