@@ -42,13 +42,13 @@ from .errors import AlbertsonError, BudgetExceededError, Graph6Error, Inapplicab
 from .graph_lab import (
     FamilyKind,
     FamilySpec,
-    _is_critical_with_chi,
     _parse_budget,
     build_family,
     chromatic_number,
     delta_splits,
     efamily_splits,
     find_topological_clique,
+    is_critical,
     parse_graph6,
     serialize_graph6,
 )
@@ -224,8 +224,8 @@ def _cmd_families(args) -> int:
         print(f"  chromatic number: {chi} (expected {r})")
         ok = ok and chi == r
         if spec.kind in (FamilyKind.DELTA, FamilyKind.EFAMILY):
-            critical = _is_critical_with_chi(g, r, chi)
             verified = _has_verified_tk(g, r, subdivision)
+            critical = chi == r and is_critical(g, r, max_n=coloring)
             print(f"  critical({r}): {_yes(critical)}")
             print(f"  topological K{r}: "
                   + ("yes (witness verified)" if verified else "no"))
@@ -254,8 +254,8 @@ def _cmd_check_list(args) -> int:
             continue
         try:
             chi = chromatic_number(g, max_n=budget.get("coloring"))
-            critical = _is_critical_with_chi(g, args.r, chi)
             topological = _has_verified_tk(g, args.r, budget.get("subdivision"))
+            critical = chi == args.r and is_critical(g, args.r, max_n=budget.get("coloring"))
         except BudgetExceededError as exc:
             print(f"{index}: budget exceeded: {exc}")
             ok = False

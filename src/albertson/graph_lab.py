@@ -21,17 +21,22 @@ Algorithms are exact and budget-guarded: chromatic number by counting k up
 from the largest greedy clique until one k-coloring kernel succeeds (DSATUR
 backtracking on adjacency and color bitmasks, with clique precoloring,
 forward checking, a fresh-color symmetry cap and a Hall count over greedy
-cliques), edge-deletion criticality running the same kernel on each G-e,
-simplicial counts in the degree-(n-1) sense, complement structure
-(components, triangles, and a maximum matching by the in-repo Edmonds blossom
-algorithm), and subdivision containment
-(topological K_t) by a branch-vertex recursion with a private-vertex count,
-then depth-first routing of chordless paths on bitmasks with reachability
-forward checks.  Budgets default to n <= 40 for coloring and n <= 20 for
-subdivision search and can be raised per call (max_n) or via the
-ALBERTSON_BUDGET environment variable, e.g.
+cliques), criticality at r by the same kernel (below), simplicial counts in
+the degree-(n-1) sense, complement structure (components, triangles, and a
+maximum matching by the in-repo Edmonds blossom algorithm), and subdivision
+containment (topological K_t) by a branch-vertex recursion with a
+private-vertex count, then depth-first routing of chordless paths on bitmasks
+with reachability forward checks.  Budgets default to n <= 40 for coloring
+and n <= 20 for subdivision search and can be raised per call (max_n) or via
+the ALBERTSON_BUDGET environment variable, e.g.
 ALBERTSON_BUDGET="coloring=50,subdivision=24"; unknown keys and negative
 values raise ValueError.  Exceeding a budget raises, never approximates.
+
+Criticality at r never computes chi: g must not be (r-1)-colorable, and
+every G-e must be.  Should some G-e be (r-1)-colorable, a fresh color on one
+end of e r-colors g, so the two halves together give chi = r with every edge
+critical.  Each G-e is colored with the cliques of g minus those holding both
+ends of e; the rest are still cliques of G-e, so the Hall prune stays sound.
 
 Graphs read and write the graph6 text format (one graph per line) for
 exchanging externally published graph lists.
@@ -387,20 +392,16 @@ def _k_colorable(adj: Sequence[int], k: int, cliques: list[int]) -> bool:
     return solve(colors, uncolored, root.bit_count())
 
 
-def _count_up(adj: Sequence[int], cliques: list[int]) -> int:
-    """Chromatic number: k counts up from the largest clique until the graph
-    is k-colorable."""
-    k = cliques[0].bit_count() if cliques else 0
-    while not _k_colorable(adj, k, cliques):
-        k += 1
-    return k
-
-
 def chromatic_number(g: Graph, max_n: int | None = None) -> int:
     """Exact chromatic number: k counts up from the largest clique found
     until the graph is k-colorable."""
     _check_budget("coloring", g.vertex_count, max_n)
-    return _count_up(g.masks, _cliques(g.masks))
+    adj = g.masks
+    cliques = _cliques(adj)
+    k = cliques[0].bit_count() if cliques else 0
+    while not _k_colorable(adj, k, cliques):
+        k += 1
+    return k
 
 
 def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
@@ -408,34 +409,25 @@ def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
 
     For graphs without isolated vertices this is exactly r-criticality (every
     proper subgraph (r-1)-colorable); an isolated vertex would defeat the
-    implication, so its presence returns False for r >= 2.
+    implication, so its presence returns False for r >= 2.  For r <= 0 only
+    the empty graph (chi = 0) is critical.
 
-    Each G-e is checked on the masks and cliques of g with the edge's two
-    bits cleared and the cliques containing both endpoints dropped: the
-    other cliques of g are still cliques of G-e, so the Hall prune stays
-    sound.
+    chi is never computed: g must not be (r-1)-colorable, so chi >= r, and
+    every G-e must be.  That is exact: an (r-1)-coloring of G-e, e = uv, plus
+    a fresh color on u r-colors g, so chi = r and every edge is critical
+    (with no edge, chi <= 1 <= r anyway).  Each G-e is colored with the
+    cliques of g minus those holding both u and v; the rest are still cliques
+    of G-e, so the Hall prune stays sound.
     """
-    if _has_isolated_vertex(g, r):
+    if r >= 2 and 0 in g.masks:
         return False
     _check_budget("coloring", g.vertex_count, max_n)
-    cliques = _cliques(g.masks)
-    return _count_up(g.masks, cliques) == r and _edges_critical(g, r, cliques)
-
-
-def _has_isolated_vertex(g: Graph, r: int) -> bool:
-    return r >= 2 and 0 in g.masks
-
-
-def _is_critical_with_chi(g: Graph, r: int, chi: int) -> bool:
-    """is_critical(g, r) for a caller that already computed chi = chi(g)."""
-    return (chi == r and not _has_isolated_vertex(g, r)
-            and _edges_critical(g, r, _cliques(g.masks)))
-
-
-def _edges_critical(g: Graph, r: int, cliques: list[int]) -> bool:
-    """True iff every G-e of the chi = r graph g, whose cliques these are,
-    is (r-1)-colorable."""
+    if r <= 0:
+        return r == 0 and g.vertex_count == 0
     adj = g.masks
+    cliques = _cliques(adj)
+    if _k_colorable(adj, r - 1, cliques):
+        return False
     for u, v in sorted(g.edges):
         without = list(adj)
         without[u] ^= 1 << v

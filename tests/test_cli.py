@@ -197,6 +197,19 @@ class TestFamilies:
         assert invoke(capsys, "families", "--kind", "Delta",
                       "--sizes", "2,1,1")[0] == 2
 
+    def test_subdivision_budget_stops_before_criticality(self, capsys, monkeypatch):
+        # Delta(11) has n = 21, over the default subdivision budget of 20: the
+        # TK search raises before the criticality check would run
+        def refuse(*args, **kwargs):
+            raise AssertionError("criticality checked for a member whose TK search failed")
+
+        monkeypatch.delenv("ALBERTSON_BUDGET", raising=False)
+        monkeypatch.setattr("albertson.cli.is_critical", refuse)
+        code, out, err = invoke(capsys, "families", "--kind", "Delta", "--r", "11")
+        assert code == 2
+        assert "chromatic number: 11 (expected 11)" in out
+        assert "subdivision budget" in err
+
 
 class TestCheckList:
     def test_mixed_list(self, capsys, tmp_path):

@@ -324,9 +324,15 @@ class TestCriticality:
 
     def test_matches_edge_deletion_oracle(self):
         # each random graph and an edge-minimal subgraph with the same chi,
-        # which is edge-critical and often has no isolated vertex
+        # which is edge-critical and often has no isolated vertex; asked at
+        # r = chi - 1, chi, chi + 1, since is_critical decides chi = r itself
+        def oracle(x, r):
+            isolated = any(x.degree(v) == 0 for v in range(x.vertex_count))
+            return (_oracle_chromatic(x) == r and not (r >= 2 and isolated)
+                    and all(_oracle_chromatic(x.without_edge(*e)) < r for e in x.edges))
+
         rng = random.Random(0xC7)
-        critical = 0
+        cases = [(Graph(n), r) for n in (0, 1) for r in (0, 1)]
         for _ in range(40):
             g = _random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.8))
             chi = _oracle_chromatic(g)
@@ -334,13 +340,12 @@ class TestCriticality:
             for e in rng.sample(sorted(g.edges), len(g.edges)):
                 if _oracle_chromatic(h.without_edge(*e)) == chi:
                     h = h.without_edge(*e)
-            for x in (g, h):
-                isolated = any(x.degree(v) == 0 for v in range(x.vertex_count))
-                expected = (not (chi >= 2 and isolated)
-                            and all(_oracle_chromatic(x.without_edge(*e)) < chi
-                                    for e in x.edges))
-                assert is_critical(x, chi) == expected
-                critical += expected
+            cases += [(x, r) for x in (g, h) for r in (chi - 1, chi, chi + 1)]
+        critical = 0
+        for x, r in cases:
+            expected = oracle(x, r)
+            assert is_critical(x, r) == expected, (x.edges, r)
+            critical += expected
         assert critical > 10
 
 

@@ -21,7 +21,7 @@ import albertson
 SRC = Path(albertson.__file__).parent
 
 # module -> functions whose bodies may use floats for display
-DISPLAY_ONLY = {"bounds": set(), "crossing": set(),
+DISPLAY_ONLY = {"bounds": set(), "crossing": set(), "graph_lab": set(),
                 "verifier": {"_fmt3", "_render_markdown"}}
 
 
