@@ -45,14 +45,15 @@ from .graph_lab import (
     _parse_budget,
     build_family,
     chromatic_number,
+    contains_topological_clique,
     delta_splits,
     efamily_splits,
-    find_topological_clique,
     is_critical,
     parse_graph6,
     serialize_graph6,
 )
 from .verifier import (
+    ReportFormat,
     Verdict,
     catlin_check,
     compare_with_reference,
@@ -98,7 +99,7 @@ def _budget_arg(text: str) -> dict[str, int]:
 def _cmd_verify(args) -> int:
     report = verify_albertson(args.r)
     print(render_report(report, args.format))
-    if args.format == "markdown":
+    if args.format == ReportFormat.MARKDOWN.value:
         for flag in compare_with_reference(report):
             print(f"note (reference comparison): {flag}")
     return 0 if report.verdict is Verdict.VERIFIED else 1
@@ -204,12 +205,6 @@ def _family_specs(args) -> list[FamilySpec]:
     return list(splits(args.r))
 
 
-def _has_verified_tk(g, r: int, max_n: int | None) -> bool:
-    """Topological K_r present: the search found a witness and it checks out."""
-    witness = find_topological_clique(g, r, max_n=max_n)
-    return witness is not None and witness.verify(g)
-
-
 def _cmd_families(args) -> int:
     budget = args.budget or {}
     coloring = budget.get("coloring")
@@ -224,7 +219,7 @@ def _cmd_families(args) -> int:
         print(f"  chromatic number: {chi} (expected {r})")
         ok = ok and chi == r
         if spec.kind in (FamilyKind.DELTA, FamilyKind.EFAMILY):
-            verified = _has_verified_tk(g, r, subdivision)
+            verified = contains_topological_clique(g, r, max_n=subdivision)
             critical = chi == r and is_critical(g, r, max_n=coloring)
             print(f"  critical({r}): {_yes(critical)}")
             print(f"  topological K{r}: "
@@ -254,7 +249,7 @@ def _cmd_check_list(args) -> int:
             continue
         try:
             chi = chromatic_number(g, max_n=budget.get("coloring"))
-            topological = _has_verified_tk(g, args.r, budget.get("subdivision"))
+            topological = contains_topological_clique(g, args.r, max_n=budget.get("subdivision"))
             critical = chi == args.r and is_critical(g, args.r, max_n=budget.get("coloring"))
         except BudgetExceededError as exc:
             print(f"{index}: budget exceeded: {exc}")
@@ -275,8 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full case analysis for one r")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--format", choices=("markdown", "csv", "structured"),
-                   default="markdown")
+    p.add_argument("--format", choices=[fmt.value for fmt in ReportFormat],
+                   default=ReportFormat.MARKDOWN.value)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", help="case-analysis rows only")
@@ -311,9 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_catlin)
 
-    p = sub.add_parser("families", help="build and check Delta/EFamily/Catlin/Complete members")
-    p.add_argument("--kind", choices=("Delta", "EFamily", "Catlin", "Complete"),
-                   required=True)
+    kinds = [kind.value for kind in FamilyKind]
+    p = sub.add_parser("families", help=f"build and check {'/'.join(kinds)} members")
+    p.add_argument("--kind", choices=kinds, required=True)
     p.add_argument("--r", type=int, help="enumerate all splits for this r")
     p.add_argument("--sizes", type=_sizes_arg, help="one explicit split, e.g. 3,1,3")
     p.add_argument("--k", type=int, help="Catlin parameter")

@@ -158,13 +158,17 @@ class SamplingParams:
             raise ValueError(f"sample size must be >= 5, got {self.s}")
 
 
+def _check_edge_count(m: int) -> None:
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+
+
 def linear_lower(n: int, m: int) -> CrossingLowerBound:
     """Best of the five linear inequalities; ties go to the lowest-numbered
     rule.  The winner is chosen on raw values, then clamped at 0."""
     if n < 3:
         raise ValueError(f"linear rules need n >= 3, got {n}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    _check_edge_count(m)
     best, a6, b6 = max(_LINEAR_SIXFOLD, key=lambda entry: entry[1] * m - entry[2] * (n - 2))
     return _clamp_ceil(_F(a6 * m - b6 * (n - 2), 6),
                        Method(kind=MethodKind.LINEAR, rule=best.id))
@@ -219,6 +223,7 @@ def cr_nmp(n: int, m: int, p) -> CrossingLowerBound:
     p = _as_exact(p)
     if n < 10:
         raise ValueError(f"cr(n,m,p) needs n >= 10, got {n}")
+    _check_edge_count(m)
     if not 0 < p <= 1:
         raise ValueError(f"p must be in (0, 1], got {p}")
     u, w = p.numerator, p.denominator
@@ -282,6 +287,7 @@ def counting_lower(n: int, m: int, params: SamplingParams) -> CrossingLowerBound
     s = params.s
     if s > n:
         raise ValueError(f"sample size s={s} exceeds n={n}")
+    _check_edge_count(m)
     num, den = _counting_terms(n, m, params)
     return _clamp_ceil(_F(num, den),
                        Method(kind=MethodKind.COUNTING, rule=params.base.id, s=s))

@@ -132,8 +132,8 @@ class Graph:
         return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        # a negative shift raises, and v may come from an unchecked witness
-        return v >= 0 and self.masks[u] >> v & 1 == 1
+        # either end may come from an unchecked witness; v < 0 would raise
+        return 0 <= u < self.vertex_count and v >= 0 and self.masks[u] >> v & 1 == 1
 
     def without_edge(self, u: int, v: int) -> "Graph":
         a, b = (u, v) if u < v else (v, u)
@@ -723,7 +723,9 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
 
 
 def contains_topological_clique(g: Graph, t: int, max_n: int | None = None) -> bool:
-    return find_topological_clique(g, t, max_n=max_n) is not None
+    """True iff the search finds a witness and the witness verifies."""
+    witness = find_topological_clique(g, t, max_n=max_n)
+    return witness is not None and witness.verify(g)
 
 
 # ---------------------------------------------------------------------------
@@ -793,19 +795,18 @@ def parse_graph6(text: str) -> Graph:
     if len(text) - pos > nchars:
         raise Graph6Error("trailing data after adjacency bytes",
                           offset=base + pos + nchars)
+    bits = 0  # the adjacency bytes as one integer, 6 bits each, first byte highest
+    for i in range(pos, len(text)):
+        bits = bits << 6 | value(i)
+    pad = nchars * 6 - nbits  # bits up to the byte boundary, all zero
+    if bits & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bit", offset=base + len(text) - 1)
     edges = []
-    bit = 0
-    for v in range(1, n):
-        for u in range(v):
-            char_value = value(pos + bit // 6)
-            if (char_value >> (5 - bit % 6)) & 1:
-                edges.append((u, v))
-            bit += 1
-    # padding bits up to the char boundary must be zero
-    for pad in range(nbits, nchars * 6):
-        char_value = value(pos + pad // 6)
-        if (char_value >> (5 - pad % 6)) & 1:
-            raise Graph6Error("nonzero padding bit", offset=base + pos + pad // 6)
+    end = nchars * 6  # bit position just past column v, counted from the lowest
+    for v in range(1, n):  # column v holds (0, v) .. (v-1, v), (0, v) highest
+        end -= v
+        column = bits >> end & ((1 << v) - 1)
+        edges.extend((v - 1 - b, v) for b in _bits(column))
     return Graph(n, edges)
 
 
@@ -818,15 +819,12 @@ def serialize_graph6(g: Graph) -> str:
         out = ["~", chr((n >> 12) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
     else:
         raise ValueError(f"n={n} too large for this graph6 writer")
-    acc = 0
-    nbits = 0
+    bits = 0  # the same integer parse_graph6 decodes
     for v in range(1, n):
         for u in range(v):
-            acc = (acc << 1) | (1 if g.has_edge(u, v) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc, nbits = 0, 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
+            bits = bits << 1 | g.masks[v] >> u & 1
+    nbits = n * (n - 1) // 2
+    nchars = -(-nbits // 6)
+    bits <<= nchars * 6 - nbits
+    out.extend(chr((bits >> 6 * i & 63) + 63) for i in reversed(range(nchars)))
     return "".join(out)

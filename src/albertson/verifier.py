@@ -29,9 +29,11 @@ Catlin-family comparison 2Z(2k) + Z(k) + 3cr(K_{k,k}) > Z(ceil(5k/2)).
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -470,27 +472,34 @@ def _render_csv(report: VerificationReport) -> str:
     return "\n".join(lines)
 
 
-def _row_doc(row: CaseRow) -> dict:
-    return {"n": row.n, "m_min": row.m_min, "linear_bound": row.linear_bound,
-            "p": str(row.p), "prob_bound": row.prob_bound, "target": row.target,
-            "satisfied": row.satisfied}
+@functools.cache
+def _codec(kind):
+    """(encode, decode) between a report field type and its json form: a
+    report dataclass maps to a dict of its fields, a tuple to a list, a
+    Fraction to its str and an enum to its value.  None stands for a value
+    that json writes or reads as it is."""
+    if typing.get_origin(kind) is tuple:
+        enc, dec = _codec(typing.get_args(kind)[0])
+        return (None if enc is None else lambda items: [enc(item) for item in items],
+                tuple if dec is None else lambda docs: tuple(map(dec, docs)))
+    if is_dataclass(kind):
+        hints = typing.get_type_hints(kind)
+        plan = [(f.name, *_codec(hints[f.name])) for f in fields(kind)]
+        # decoding reads every field (a missing key raises KeyError) and
+        # ignores any other key
+        return (lambda obj: {name: getattr(obj, name) if enc is None else enc(getattr(obj, name))
+                             for name, enc, _ in plan},
+                lambda doc: kind(*[doc[name] if dec is None else dec(doc[name])
+                                   for name, _, dec in plan]))
+    if kind is Fraction:
+        return str, Fraction
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return (lambda member: member.value), kind
+    return None, None
 
 
 def _render_structured(report: VerificationReport) -> str:
-    tail = report.tail
-    doc = {
-        "r": report.r,
-        "small_n_note": report.small_n_note,
-        "rows": [_row_doc(row) for row in report.rows],
-        "refined_rows": [_row_doc(row) for row in report.refined_rows],
-        "tail": {"r": tail.r, "p": str(tail.p), "n0": tail.n0,
-                 "slope": str(tail.slope),
-                 "tail_term_at_n0": str(tail.tail_term_at_n0),
-                 "valid": tail.valid},
-        "gaps": list(report.gaps),
-        "verdict": report.verdict.value,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(_codec(VerificationReport)[0](report), indent=2, sort_keys=True)
 
 
 def render_report(report: VerificationReport, format: ReportFormat | str) -> str:
@@ -503,23 +512,7 @@ def render_report(report: VerificationReport, format: ReportFormat | str) -> str
     return _render_structured(report)
 
 
-def _parse_row(doc: dict) -> CaseRow:
-    return CaseRow(n=doc["n"], m_min=doc["m_min"], linear_bound=doc["linear_bound"],
-                   p=Fraction(doc["p"]), prob_bound=doc["prob_bound"],
-                   target=doc["target"], satisfied=doc["satisfied"])
-
-
 def parse_report(text: str) -> VerificationReport:
     """Inverse of the structured rendering: parse_report(render_report(x,
     'structured')) == x."""
-    doc = json.loads(text)
-    tail_doc = doc["tail"]
-    tail = TailCertificate(r=tail_doc["r"], p=Fraction(tail_doc["p"]),
-                           n0=tail_doc["n0"], slope=Fraction(tail_doc["slope"]),
-                           tail_term_at_n0=Fraction(tail_doc["tail_term_at_n0"]),
-                           valid=tail_doc["valid"])
-    return VerificationReport(r=doc["r"], small_n_note=doc["small_n_note"],
-                              rows=tuple(_parse_row(d) for d in doc["rows"]),
-                              tail=tail, gaps=tuple(doc["gaps"]),
-                              verdict=Verdict(doc["verdict"]),
-                              refined_rows=tuple(_parse_row(d) for d in doc["refined_rows"]))
+    return _codec(VerificationReport)[1](json.loads(text))

@@ -144,6 +144,11 @@ class TestCounting:
         assert invoke(capsys, "counting", "--n", "10", "--m", "30",
                       "--s", "11")[0] == 2
 
+    def test_negative_edge_count(self, capsys):
+        code, out, err = invoke(capsys, "counting", "--n", "10", "--m", "-3", "--s", "5")
+        assert (code, out) == (2, "")
+        assert "m must be >= 0" in err
+
 
 class TestLemma357:
     def test_r17(self, capsys):

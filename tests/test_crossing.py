@@ -81,6 +81,16 @@ class TestLinearLower:
         with pytest.raises(ValueError):
             linear_lower(2, 1)
 
+    @pytest.mark.parametrize("bound", [
+        lambda m: linear_lower(10, m),
+        lambda m: cr_nmp(10, m, Fraction(1, 2)),
+        lambda m: counting_lower(10, m, SamplingParams(s=5)),
+    ], ids=["linear", "cr_nmp", "counting"])
+    def test_rejects_negative_edge_count(self, bound):
+        with pytest.raises(ValueError, match="m must be >= 0, got -3"):
+            bound(-3)
+        assert bound(0).value == 0
+
     @given(st.integers(3, 200), st.integers(0, 2000))
     def test_max_of_five(self, n, m):
         b = linear_lower(n, m)

@@ -16,6 +16,7 @@ from albertson import (
     Graph,
     Graph6Error,
     InapplicableRuleError,
+    SubdivisionWitness,
     build_family,
     chromatic_number,
     complement_analysis,
@@ -191,6 +192,8 @@ class TestGraphType:
     def test_has_edge_outside_the_vertex_range(self):
         g = complete_graph(4)
         assert not any(g.has_edge(0, v) for v in (-1, -4, -5, 4, 64))
+        # u = -1 must not read the last vertex's mask, nor u = 4 run off the end
+        assert not any(g.has_edge(u, 1) for u in (-1, 4))
         with pytest.raises(ValueError):
             g.without_edge(0, -1)
 
@@ -489,6 +492,12 @@ class TestTopologicalClique:
         paths = tuple((p, path if p == pair else old) for p, old in w.paths)
         assert not dataclasses.replace(w, paths=paths).verify(g)
 
+    def test_presence_needs_a_verified_witness(self, monkeypatch):
+        g = cycle_graph(4)
+        monkeypatch.setattr(SubdivisionWitness, "verify", lambda self, graph: False)
+        assert find_topological_clique(g, 3) is not None
+        assert not contains_topological_clique(g, 3)
+
     def test_trivial_sizes(self):
         assert contains_topological_clique(Graph(1, []), 1)
         assert not contains_topological_clique(Graph(0, []), 1)
@@ -607,6 +616,8 @@ class TestGraph6:
         ("", 0),
         ("A", 1),          # missing adjacency byte
         ("BC", 1),         # nonzero padding bit
+        (">>graph6<<D?@", 12),  # nonzero padding bit in the last of two bytes
+        ("D" + chr(200) + "@", 1),  # a bad byte is reported before the padding
         ("A" + chr(200), 1),
         ("A_B", 2),        # trailing data
         ("~~???", 1),      # >= 2^18 vertices unsupported

@@ -1,9 +1,10 @@
 """Source checks: no float takes part in the exact arithmetic layers, and
 the package runs without networkx.
 
-An AST scan of `bounds`, `crossing` and `verifier` rejects every float
-literal and every `float(...)` call.  The only exemptions are the display
-helpers of `verifier` that print a decimal rendering next to an exact value.
+An AST scan of `bounds`, `cli`, `crossing`, `graph_lab` and `verifier`
+rejects every float literal and every `float(...)` call.  The only
+exemptions are the display helpers of `cli` and `verifier` that print a
+decimal rendering next to an exact value.
 networkx is a test-only oracle: a subprocess that blocks its import still
 runs the graph lab and the CLI.
 """
@@ -21,8 +22,8 @@ import albertson
 SRC = Path(albertson.__file__).parent
 
 # module -> functions whose bodies may use floats for display
-DISPLAY_ONLY = {"bounds": set(), "crossing": set(), "graph_lab": set(),
-                "verifier": {"_fmt3", "_render_markdown"}}
+DISPLAY_ONLY = {"bounds": set(), "cli": {"_rational"}, "crossing": set(),
+                "graph_lab": set(), "verifier": {"_fmt3", "_render_markdown"}}
 
 
 def float_uses(source: str, exempt: set[str]) -> list[str]:
@@ -53,9 +54,10 @@ def test_no_float_in_exact_layers(module):
 
 
 def test_exempt_helpers_exist():
-    tree = ast.parse((SRC / "verifier.py").read_text(encoding="utf-8"))
-    names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert DISPLAY_ONLY["verifier"] <= names
+    for module, exempt in DISPLAY_ONLY.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert exempt <= names, module
 
 
 def test_scan_catches_planted_floats():

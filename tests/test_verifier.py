@@ -376,6 +376,16 @@ class TestRendering:
         blob = render_report(rep, ReportFormat.STRUCTURED)
         assert parse_report(blob) == rep
 
+    def test_parse_needs_every_field_and_ignores_extra_keys(self):
+        rep = verify_albertson(13)
+        doc = json.loads(render_report(rep, ReportFormat.STRUCTURED))
+        doc["rows"][0]["winner"] = "eq5"
+        doc["tail"]["note"] = "unused"
+        assert parse_report(json.dumps(doc)) == rep
+        del doc["rows"][0]["m_min"]
+        with pytest.raises(KeyError, match="m_min"):
+            parse_report(json.dumps(doc))
+
     def test_structured_is_json_with_sorted_keys(self):
         blob = render_report(verify_albertson(13), ReportFormat.STRUCTURED)
         doc = json.loads(blob)
