@@ -133,15 +133,18 @@ def _cmd_edges(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    # every bound is computed before the first line is printed, so a domain
+    # error leaves stdout empty
     n, m = args.n, args.m
-    print(f"n = {n}, m = {m}")
     lin = linear_lower(n, m)
-    print(f"linear: {lin.value} via {lin.method.describe()} (raw {_rational(lin.raw)})")
+    lines = [f"n = {n}, m = {m}",
+             f"linear: {lin.value} via {lin.method.describe()} (raw {_rational(lin.raw)})"]
     try:
         lemma = crossing_lemma_lower(n, m)
-        print(f"crossing lemma: {lemma.value} via {lemma.method.describe()} (raw {_rational(lemma.raw)})")
+        lines.append(f"crossing lemma: {lemma.value} via {lemma.method.describe()} "
+                     f"(raw {_rational(lemma.raw)})")
     except InapplicableRuleError as exc:
-        print(f"crossing lemma: inapplicable ({exc})")
+        lines.append(f"crossing lemma: inapplicable ({exc})")
     if n >= 10:
         if args.p is not None:
             p = args.p
@@ -150,10 +153,11 @@ def _cmd_bound(args) -> int:
         else:
             p = Fraction(1)
         prob = cr_nmp(n, m, p)
-        print(f"p: {_rational(p)}")
-        print(f"probabilistic: {prob.value} (raw {_rational(prob.raw)})")
+        lines.append(f"p: {_rational(p)}")
+        lines.append(f"probabilistic: {prob.value} (raw {_rational(prob.raw)})")
     else:
-        print("probabilistic: inapplicable (needs n >= 10)")
+        lines.append("probabilistic: inapplicable (needs n >= 10)")
+    print("\n".join(lines))
     return 0
 
 

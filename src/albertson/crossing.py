@@ -45,8 +45,10 @@ b = B/d over their least common denominator d that is one integer,
 
   (n-2)(n-3)*[A*m*s(s-1) - B*n(n-1)(s-2)] / (d*s(s-1)(s-2)(s-3)).
 
-Every kernel computes such a numerator in integers, chooses between rules
-by comparing integers, and builds a single Fraction for its result.
+Every kernel computes such a numerator num over a positive denominator den
+in integers and chooses between rules by comparing integers.  Its `value` is
+max(0, -(-num // den)), the clamped ceiling by floor division; `raw` keeps
+the unreduced pair and becomes a Fraction only when it is read.
 
 Reference values for complete graphs: the Zarankiewicz count
 Z(r) = (1/4)*floor(r/2)*floor((r-1)/2)*floor((r-2)/2)*floor((r-3)/2) is an
@@ -54,12 +56,12 @@ upper bound for cr(K_r) (conjectured exact), cr(K_r) >= ceil(0.86*Z(r)) is
 the best proven lower bound, and floor(a/2)floor((a-1)/2)floor(b/2)floor((b-1)/2)
 is the conjectured cr(K_{a,b}).
 
-All arithmetic is exact; `raw` values are Fractions, `value` = max(0, ceil(raw)).
+All arithmetic is exact; `raw` values read as Fractions, `value` = max(0, ceil(raw)).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -131,19 +133,60 @@ class Method:
         return self.kind.value
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class CrossingLowerBound:
     """An integer lower bound on cr(G) with its exact pre-ceiling value and
-    full provenance."""
+    full provenance.
 
-    value: int
-    raw: Fraction
-    method: Method
+    Immutable, and equal, hashed and printed like a frozen dataclass with
+    the fields (value, raw, method).  The kernels pass `raw` as the
+    unreduced integer pair (num, den); it is reduced to a Fraction on first
+    read, so a caller that reads only `value` pays no gcd.
+    """
+
+    __slots__ = ("value", "method", "_raw")
+
+    def __init__(self, value: int, raw: Fraction, method: Method):
+        _set(self, "value", value)
+        _set(self, "method", method)
+        _set(self, "_raw", raw)
+
+    @property
+    def raw(self) -> Fraction:
+        raw = self._raw
+        if type(raw) is tuple:
+            raw = _F(*raw)
+            _set(self, "_raw", raw)
+        return raw
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return CrossingLowerBound, (self.value, self.raw, self.method)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.raw, self.method) == (other.value, other.raw, other.method)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.raw, self.method))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(value={self.value!r}, raw={self.raw!r}, "
+                f"method={self.method!r})")
 
 
-def _clamp_ceil(raw: Fraction, method: Method) -> CrossingLowerBound:
-    # crossing numbers are integers and never negative
-    return CrossingLowerBound(value=max(0, math.ceil(raw)), raw=raw, method=method)
+def _clamp_ceil(num: int, den: int, method: Method) -> CrossingLowerBound:
+    # crossing numbers are integers and never negative; den > 0, so floor
+    # division gives the ceiling
+    return CrossingLowerBound(max(0, -(-num // den)), (num, den), method)
 
 
 @dataclass(frozen=True)
@@ -170,7 +213,7 @@ def linear_lower(n: int, m: int) -> CrossingLowerBound:
         raise ValueError(f"linear rules need n >= 3, got {n}")
     _check_edge_count(m)
     best, a6, b6 = max(_LINEAR_SIXFOLD, key=lambda entry: entry[1] * m - entry[2] * (n - 2))
-    return _clamp_ceil(_F(a6 * m - b6 * (n - 2), 6),
+    return _clamp_ceil(a6 * m - b6 * (n - 2), 6,
                        Method(kind=MethodKind.LINEAR, rule=best.id))
 
 
@@ -197,12 +240,13 @@ def crossing_lemma_lower(n: int, m: int) -> CrossingLowerBound:
     """Best applicable cubic bound m^3/(64 n^2) or m^3/(31.1 n^2)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_edge_count(m)
     # m >= 103n/16 implies m >= 4n, and 10/311 > 1/64: where the 31.1 form
     # applies it wins
     if 16 * m >= 103 * n:
-        return _clamp_ceil(_F(10 * m**3, 311 * n**2), Method(kind=MethodKind.LEMMA311))
+        return _clamp_ceil(10 * m**3, 311 * n**2, Method(kind=MethodKind.LEMMA311))
     if m >= 4 * n:
-        return _clamp_ceil(_F(m**3, 64 * n**2), Method(kind=MethodKind.LEMMA64))
+        return _clamp_ceil(m**3, 64 * n**2, Method(kind=MethodKind.LEMMA64))
     raise InapplicableRuleError(
         f"crossing lemma needs m >= 4n or m >= 103n/16, got n={n}, m={m}"
     )
@@ -211,7 +255,7 @@ def crossing_lemma_lower(n: int, m: int) -> CrossingLowerBound:
 def _as_exact(p) -> Fraction:
     if isinstance(p, float):
         raise TypeError("p must be exact (Fraction, int or string), not float")
-    return Fraction(p)
+    return p if type(p) is Fraction else _F(p)
 
 
 def cr_nmp(n: int, m: int, p) -> CrossingLowerBound:
@@ -224,12 +268,12 @@ def cr_nmp(n: int, m: int, p) -> CrossingLowerBound:
     if n < 10:
         raise ValueError(f"cr(n,m,p) needs n >= 10, got {n}")
     _check_edge_count(m)
-    if not 0 < p <= 1:
-        raise ValueError(f"p must be in (0, 1], got {p}")
     u, w = p.numerator, p.denominator
+    if not 0 < u <= w:  # 0 < p <= 1, as w > 0
+        raise ValueError(f"p must be in (0, 1], got {p}")
     num = ((24 * m * u * u + (206 * w - 103 * n * u) * w) * w ** (n - 4)
            - 30 * n * n * (w - u) ** (n - 2))
-    return _clamp_ceil(_F(num, 6 * u**4 * w ** (n - 6)),
+    return _clamp_ceil(num, 6 * u**4 * w ** (n - 6),
                        Method(kind=MethodKind.PROBABILISTIC, p=p))
 
 
@@ -267,14 +311,20 @@ def optimize_p(n: int, m: int) -> Fraction:
     return _F(min(max(k, 1), 1000), 1000)
 
 
-def _counting_terms(n: int, m: int, params: SamplingParams) -> tuple[int, int]:
-    """(numerator, denominator) of the counting bound, unreduced; the
-    denominator d*s(s-1)(s-2)(s-3) depends on s and the base rule only."""
+def _counting_coefficients(params: SamplingParams) -> tuple[int, int, int]:
+    """(A*s(s-1), B*(s-2), d*s(s-1)(s-2)(s-3)) for the counting bound, where
+    a = A/d and b = B/d over their least common denominator d; the last is
+    the bound's (unreduced) denominator.  They depend on s and the base rule
+    only, so a sweep over n computes them once."""
     s, a, b = params.s, params.base.a, params.base.b
     d = math.lcm(a.denominator, b.denominator)
     a_d, b_d = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-    num = (n - 2) * (n - 3) * (a_d * m * s * (s - 1) - b_d * n * (n - 1) * (s - 2))
-    return num, d * s * (s - 1) * (s - 2) * (s - 3)
+    return a_d * s * (s - 1), b_d * (s - 2), d * s * (s - 1) * (s - 2) * (s - 3)
+
+
+def _counting_numerator(n: int, m: int, a_s: int, b_s: int) -> int:
+    """Numerator of the counting bound over the denominator above."""
+    return (n - 2) * (n - 3) * (a_s * m - b_s * n * (n - 1))
 
 
 def counting_lower(n: int, m: int, params: SamplingParams) -> CrossingLowerBound:
@@ -288,6 +338,6 @@ def counting_lower(n: int, m: int, params: SamplingParams) -> CrossingLowerBound
     if s > n:
         raise ValueError(f"sample size s={s} exceeds n={n}")
     _check_edge_count(m)
-    num, den = _counting_terms(n, m, params)
-    return _clamp_ceil(_F(num, den),
+    a_s, b_s, den = _counting_coefficients(params)
+    return _clamp_ceil(_counting_numerator(n, m, a_s, b_s), den,
                        Method(kind=MethodKind.COUNTING, rule=params.base.id, s=s))

@@ -43,7 +43,8 @@ from .crossing import (
     RuleId,
     SamplingParams,
     _as_exact,
-    _counting_terms,
+    _counting_coefficients,
+    _counting_numerator,
     bipartite_zarankiewicz,
     cr_nmp,
     optimize_p,
@@ -336,12 +337,10 @@ def lemma357_check(r: int) -> SweepResult:
     n_lo = -(-357 * r // 100)
     n_hi = 4 * r
     target64 = r * (r - 1) * (r - 2) * (r - 3)
-    params = SamplingParams(s=52)
-    margins = []
-    for n in range(n_lo, n_hi + 1):
-        num, den = _counting_terms(n, -(-((r - 1) * n) // 2), params)  # den fixed
-        margins.append((64 * num - den * target64, n))
-    margin, argmin_n = min(margins)
+    a_s, b_s, den = _counting_coefficients(SamplingParams(s=52))
+    margin, argmin_n = min(
+        (64 * _counting_numerator(n, -(-((r - 1) * n) // 2), a_s, b_s) - den * target64, n)
+        for n in range(n_lo, n_hi + 1))
     return SweepResult(ok=margin > 0, r=r, n_lo=n_lo, n_hi=n_hi,
                        min_margin=_F(margin, 64 * den), argmin_n=argmin_n)
 

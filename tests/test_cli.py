@@ -126,6 +126,16 @@ class TestBound:
         assert code == 0
         assert "probabilistic: inapplicable (needs n >= 10)" in out
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--n", "10", "--m", "-3"), "m must be >= 0"),
+        (("--n", "2", "--m", "3"), "linear rules need n >= 3"),
+        (("--n", "10", "--m", "40", "--p", "2"), "p must be in (0, 1]"),
+    ], ids=["negative_m", "small_n", "p_above_one"])
+    def test_domain_error_writes_no_stdout(self, capsys, argv, message):
+        code, out, err = invoke(capsys, "bound", *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
 
 class TestCounting:
     def test_reference_instance(self, capsys):

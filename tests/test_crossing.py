@@ -1,9 +1,12 @@
 """Crossing-number lower bounds: linear rules, crossing lemma, probabilistic
 refinement, counting bound, Zarankiewicz reference values."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from albertson import (
     LINEAR_RULES,
+    CrossingLowerBound,
     RULE_BY_ID,
     InapplicableRuleError,
     LinearRule,
@@ -85,11 +89,17 @@ class TestLinearLower:
         lambda m: linear_lower(10, m),
         lambda m: cr_nmp(10, m, Fraction(1, 2)),
         lambda m: counting_lower(10, m, SamplingParams(s=5)),
-    ], ids=["linear", "cr_nmp", "counting"])
+        lambda m: crossing_lemma_lower(10, m),
+    ], ids=["linear", "cr_nmp", "counting", "crossing_lemma"])
     def test_rejects_negative_edge_count(self, bound):
         with pytest.raises(ValueError, match="m must be >= 0, got -3"):
             bound(-3)
-        assert bound(0).value == 0
+        if bound(40).method.kind is MethodKind.LEMMA64:
+            # m = 0 passes the edge-count check; the lemma needs m >= 4n
+            with pytest.raises(InapplicableRuleError):
+                bound(0)
+        else:
+            assert bound(0).value == 0
 
     @given(st.integers(3, 200), st.integers(0, 2000))
     def test_max_of_five(self, n, m):
@@ -360,17 +370,22 @@ def _check_lemma(n, m):
         return
     got = crossing_lemma_lower(n, m)
     assert (got.raw, got.method.kind) == want
+    assert got.value == max(0, math.ceil(want[0]))
 
 
 def _check_cr_nmp(n, m, p):
     got = cr_nmp(n, m, p)
-    assert got.raw == _oracle_cr_nmp(n, m, p)
+    raw = _oracle_cr_nmp(n, m, p)
+    assert got.raw == raw
+    assert got.value == max(0, math.ceil(raw))
     assert (got.method.kind, got.method.p) == (MethodKind.PROBABILISTIC, p)
 
 
 def _check_counting(n, m, s, base):
     got = counting_lower(n, m, SamplingParams(s=s, base=base))
-    assert got.raw == _oracle_counting(n, m, s, base)
+    raw = _oracle_counting(n, m, s, base)
+    assert got.raw == raw
+    assert got.value == max(0, math.ceil(raw))
     assert (got.method.kind, got.method.rule, got.method.s) == \
         (MethodKind.COUNTING, base.id, s)
 
@@ -380,7 +395,7 @@ class TestKernelOracles:
     def test_linear(self, n, m):
         _check_linear(n, m)
 
-    @given(st.integers(1, 400), st.integers(-5, 20000))
+    @given(st.integers(1, 400), st.integers(0, 20000))
     def test_crossing_lemma(self, n, m):
         _check_lemma(n, m)
 
@@ -442,3 +457,80 @@ class TestKernelOracles:
             _check_lemma(n, 4 * n)
             _check_lemma(n, -(-103 * n // 16))
             _check_lemma(n, 103 * n // 16)
+
+    @pytest.mark.parametrize("kernel,raw,value", [
+        (lambda: linear_lower(10, 5), Fraction(-19), 0),  # eq1: 5 - 3*8
+        (lambda: linear_lower(18, 128), Fraction(240), 240),  # eq5: 640 - 25*16
+        (lambda: crossing_lemma_lower(100, 400), Fraction(100), 100),
+        (lambda: crossing_lemma_lower(16, 103), Fraction(103**3 * 10, 311 * 16**2), 138),
+        (lambda: cr_nmp(14, 0, 1), Fraction(-206), 0),  # 4m - 103(n-2)/6
+        (lambda: cr_nmp(11, 0, Fraction(1, 2)), _oracle_cr_nmp(11, 0, Fraction(1, 2)), 0),
+        (lambda: counting_lower(20, 0, SamplingParams(s=20)), Fraction(-309), 0),
+        (lambda: counting_lower(20, 78, SamplingParams(s=20)), Fraction(3), 3),
+        (lambda: counting_lower(10, 3, SamplingParams(s=6)),
+         _oracle_counting(10, 3, 6, RULE_BY_ID[RuleId.EQ4]), 0),
+    ])
+    def test_value_is_clamped_ceiling(self, kernel, raw, value):
+        """value = max(0, ceil(raw)) at negative numerators, which clamp to
+        0, and at exact integers, which are their own ceiling."""
+        got = kernel()
+        assert got.value == value == max(0, math.ceil(raw))
+        assert got.raw == raw
+
+
+# ---------------------------------------------------------------------------
+# the lazy record: value from the integer pair, raw reduced on first read
+
+P_567 = Fraction(567, 1000)  # built here, outside the Fraction count below
+KERNELS = {
+    "linear": lambda: linear_lower(250, 3000),
+    "crossing_lemma": lambda: crossing_lemma_lower(250, 3000),
+    "cr_nmp": lambda: cr_nmp(250, 3000, P_567),
+    "counting": lambda: counting_lower(250, 3000, SamplingParams(s=40)),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+class TestLazyRecord:
+    def test_equals_fraction_built_record(self, kernel):
+        read = kernel()
+        eager = CrossingLowerBound(value=read.value, raw=read.raw, method=read.method)
+        assert isinstance(read.raw, Fraction)
+        assert kernel() == eager and eager == kernel()
+        assert hash(kernel()) == hash(eager) == hash((eager.value, eager.raw, eager.method))
+        assert repr(kernel()) == repr(eager) == (
+            f"CrossingLowerBound(value={eager.value!r}, raw={eager.raw!r}, "
+            f"method={eager.method!r})")
+        assert kernel() != CrossingLowerBound(value=read.value + 1, raw=read.raw,
+                                              method=read.method)
+
+    def test_pickle_and_copy_round_trips(self, kernel):
+        want = kernel()
+        for copier in (lambda b: pickle.loads(pickle.dumps(b)), copy.copy, copy.deepcopy):
+            got = copier(kernel())
+            assert got == want and got.raw == want.raw and type(got.raw) is Fraction
+
+    def test_fields_cannot_be_assigned(self, kernel):
+        bound = kernel()
+        for name in ("value", "raw", "method"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(bound, name, 0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(bound, name)
+        assert bound == kernel()
+
+    def test_value_builds_no_fraction(self, kernel, monkeypatch):
+        """Reading value constructs no Fraction; the first read of raw
+        constructs exactly one, and later reads reuse it."""
+        built = []
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        bound = kernel()
+        assert bound.value >= 0 and built == []
+        assert bound.raw is bound.raw
+        assert len(built) == 1
