@@ -1,156 +1,113 @@
 """Exact verification toolkit for crossing-number lower bounds of
-color-critical graphs (the Albertson conjecture at small r)."""
+color-critical graphs (the Albertson conjecture at small r).
 
-from .bounds import (
-    CriticalParams,
-    EdgeBound,
-    Rule,
-    dirac_edges,
-    gallai_edges,
-    join_refined_edges,
-    ks_edges,
-    min_edges,
-)
-from .crossing import (
-    LINEAR_RULES,
-    RULE_BY_ID,
-    CrossingLowerBound,
-    LinearRule,
-    Method,
-    MethodKind,
-    RuleId,
-    SamplingParams,
-    bipartite_zarankiewicz,
-    counting_lower,
-    cr_nmp,
-    crossing_lemma_lower,
-    klerk_lower,
-    linear_lower,
-    optimize_p,
-    zarankiewicz,
-)
-from .errors import (
-    AlbertsonError,
-    BudgetExceededError,
-    Graph6Error,
-    InapplicableRuleError,
-)
-from .graph_lab import (
-    ComplementAnalysis,
-    FamilyKind,
-    FamilySpec,
-    Graph,
-    SubdivisionWitness,
-    build_family,
-    chromatic_number,
-    complement_analysis,
-    complete_graph,
-    contains_topological_clique,
-    cycle_graph,
-    delta_splits,
-    efamily_splits,
-    find_topological_clique,
-    gallai_equality_check,
-    gallai_simplicial_check,
-    is_critical,
-    join,
-    parse_graph6,
-    serialize_graph6,
-    simplicial_vertices,
-)
-from .verifier import (
-    REFERENCE_TABLES,
-    TAIL_ANCHORS,
-    CaseRow,
-    CatlinReport,
-    CatlinRow,
-    ReportFormat,
-    SweepResult,
-    TailCertificate,
-    Verdict,
-    VerificationReport,
-    catlin_check,
-    compare_with_reference,
-    lemma357_check,
-    parse_report,
-    remark2_check,
-    render_report,
-    small_n_note,
-    table_rule_id,
-    tail_certificate,
-    verify_albertson,
-)
+Each public name below is read from its home module when it is asked for
+(PEP 562), so `import albertson`, or a command of `albertson.cli`, loads
+only the modules that the caller reaches, and `albertson.name` is always
+the object its module holds.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlbertsonError",
-    "BudgetExceededError",
-    "CaseRow",
-    "CatlinReport",
-    "CatlinRow",
-    "ComplementAnalysis",
-    "CriticalParams",
-    "CrossingLowerBound",
-    "EdgeBound",
-    "FamilyKind",
-    "FamilySpec",
-    "Graph",
-    "Graph6Error",
-    "InapplicableRuleError",
-    "LINEAR_RULES",
-    "LinearRule",
-    "Method",
-    "MethodKind",
-    "RULE_BY_ID",
-    "REFERENCE_TABLES",
-    "ReportFormat",
-    "Rule",
-    "RuleId",
-    "SamplingParams",
-    "SubdivisionWitness",
-    "SweepResult",
-    "TAIL_ANCHORS",
-    "TailCertificate",
-    "Verdict",
-    "VerificationReport",
-    "bipartite_zarankiewicz",
-    "build_family",
-    "catlin_check",
-    "chromatic_number",
-    "compare_with_reference",
-    "complement_analysis",
-    "complete_graph",
-    "contains_topological_clique",
-    "counting_lower",
-    "cr_nmp",
-    "crossing_lemma_lower",
-    "cycle_graph",
-    "delta_splits",
-    "dirac_edges",
-    "efamily_splits",
-    "find_topological_clique",
-    "gallai_edges",
-    "gallai_equality_check",
-    "gallai_simplicial_check",
-    "is_critical",
-    "join",
-    "join_refined_edges",
-    "klerk_lower",
-    "ks_edges",
-    "lemma357_check",
-    "linear_lower",
-    "min_edges",
-    "optimize_p",
-    "parse_graph6",
-    "parse_report",
-    "remark2_check",
-    "render_report",
-    "serialize_graph6",
-    "simplicial_vertices",
-    "small_n_note",
-    "table_rule_id",
-    "tail_certificate",
-    "verify_albertson",
-    "zarankiewicz",
-]
+# module -> the public names it owns
+_EXPORTS = {
+    "bounds": (
+        "CriticalParams",
+        "EdgeBound",
+        "Rule",
+        "dirac_edges",
+        "gallai_edges",
+        "join_refined_edges",
+        "ks_edges",
+        "min_edges",
+    ),
+    "choices": (
+        "FamilyKind",
+        "ReportFormat",
+        "RuleId",
+    ),
+    "crossing": (
+        "LINEAR_RULES",
+        "RULE_BY_ID",
+        "CrossingLowerBound",
+        "LinearRule",
+        "Method",
+        "MethodKind",
+        "SamplingParams",
+        "bipartite_zarankiewicz",
+        "counting_lower",
+        "cr_nmp",
+        "crossing_lemma_lower",
+        "klerk_lower",
+        "linear_lower",
+        "optimize_p",
+        "zarankiewicz",
+    ),
+    "errors": (
+        "AlbertsonError",
+        "BudgetExceededError",
+        "Graph6Error",
+        "InapplicableRuleError",
+    ),
+    "graph_lab": (
+        "ComplementAnalysis",
+        "FamilySpec",
+        "Graph",
+        "SubdivisionWitness",
+        "build_family",
+        "chromatic_number",
+        "complement_analysis",
+        "complete_graph",
+        "contains_topological_clique",
+        "cycle_graph",
+        "delta_splits",
+        "efamily_splits",
+        "find_topological_clique",
+        "gallai_equality_check",
+        "gallai_simplicial_check",
+        "is_critical",
+        "join",
+        "parse_graph6",
+        "serialize_graph6",
+        "simplicial_vertices",
+    ),
+    "verifier": (
+        "REFERENCE_TABLES",
+        "TAIL_ANCHORS",
+        "CaseRow",
+        "CatlinReport",
+        "CatlinRow",
+        "SweepResult",
+        "TailCertificate",
+        "Verdict",
+        "VerificationReport",
+        "catlin_check",
+        "compare_with_reference",
+        "lemma357_check",
+        "parse_report",
+        "remark2_check",
+        "render_report",
+        "small_n_note",
+        "table_rule_id",
+        "tail_certificate",
+        "verify_albertson",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -12,6 +12,10 @@ left gaps or failures or stdout was closed early, 2 for usage, domain, or
 resource errors.  Identical
 invocations produce byte-identical output; every non-integer number is
 printed as an exact rational with a 4-decimal rendering alongside.
+
+Each subcommand imports the modules it runs inside its own function, so a
+call loads only those: `edges` loads `bounds` alone, and only `families` and
+`check-list` load `graph_lab`.
 """
 from __future__ import annotations
 
@@ -20,48 +24,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .bounds import (
-    CriticalParams,
-    dirac_edges,
-    gallai_edges,
-    join_refined_edges,
-    ks_edges,
-    min_edges,
-)
-from .crossing import (
-    RULE_BY_ID,
-    RuleId,
-    SamplingParams,
-    counting_lower,
-    cr_nmp,
-    crossing_lemma_lower,
-    linear_lower,
-    optimize_p,
-)
+from .choices import FamilyKind, ReportFormat, RuleId
 from .errors import AlbertsonError, BudgetExceededError, Graph6Error, InapplicableRuleError
-from .graph_lab import (
-    FamilyKind,
-    FamilySpec,
-    _parse_budget,
-    build_family,
-    chromatic_number,
-    contains_topological_clique,
-    delta_splits,
-    efamily_splits,
-    is_critical,
-    parse_graph6,
-    serialize_graph6,
-)
-from .verifier import (
-    ReportFormat,
-    Verdict,
-    catlin_check,
-    compare_with_reference,
-    lemma357_check,
-    markdown_table,
-    render_report,
-    verify_albertson,
-)
 
 
 def _rational(x) -> str:
@@ -90,6 +54,8 @@ def _sizes_arg(text: str) -> tuple[int, ...]:
 
 
 def _budget_arg(text: str) -> dict[str, int]:
+    from .graph_lab import _parse_budget
+
     try:
         return _parse_budget(text)
     except ValueError as exc:
@@ -97,6 +63,8 @@ def _budget_arg(text: str) -> dict[str, int]:
 
 
 def _cmd_verify(args) -> int:
+    from .verifier import Verdict, compare_with_reference, render_report, verify_albertson
+
     report = verify_albertson(args.r)
     print(render_report(report, args.format))
     if args.format == ReportFormat.MARKDOWN.value:
@@ -106,12 +74,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .verifier import Verdict, markdown_table, verify_albertson
+
     report = verify_albertson(args.r)
     print("\n".join(markdown_table(report)))
     return 0 if report.verdict is Verdict.VERIFIED else 1
 
 
 def _cmd_edges(args) -> int:
+    from .bounds import (CriticalParams, dirac_edges, gallai_edges, join_refined_edges,
+                         ks_edges, min_edges)
+
     if args.n < args.r + 2:
         print(f"error: edge bounds need n >= r+2 (no r-critical graphs other "
               f"than K_r exist below), got r={args.r}, n={args.n}", file=sys.stderr)
@@ -133,6 +106,8 @@ def _cmd_edges(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .crossing import cr_nmp, crossing_lemma_lower, linear_lower, optimize_p
+
     # every bound is computed before the first line is printed, so a domain
     # error leaves stdout empty
     n, m = args.n, args.m
@@ -162,6 +137,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_counting(args) -> int:
+    from .crossing import RULE_BY_ID, SamplingParams, counting_lower
+
     params = SamplingParams(s=args.s, base=RULE_BY_ID[RuleId(args.base)])
     result = counting_lower(args.n, args.m, params)
     print(f"n = {args.n}, m = {args.m}, s = {args.s}, base = {args.base}")
@@ -170,6 +147,8 @@ def _cmd_counting(args) -> int:
 
 
 def _cmd_lemma357(args) -> int:
+    from .verifier import lemma357_check
+
     result = lemma357_check(args.r)
     print(f"r = {args.r}, n range [{result.n_lo}, {result.n_hi}], "
           f"target {_rational(Fraction(args.r * (args.r-1) * (args.r-2) * (args.r-3), 64))}")
@@ -179,6 +158,8 @@ def _cmd_lemma357(args) -> int:
 
 
 def _cmd_catlin(args) -> int:
+    from .verifier import catlin_check
+
     report = catlin_check(args.k)
     print(f"asymptotic coefficients: lower {_rational(report.lower_coefficient)}, "
           f"upper {_rational(report.upper_coefficient)}")
@@ -192,6 +173,8 @@ def _cmd_catlin(args) -> int:
 
 
 def _family_specs(args) -> list[FamilySpec]:
+    from .graph_lab import FamilySpec, delta_splits, efamily_splits
+
     kind = FamilyKind(args.kind)
     if kind is FamilyKind.CATLIN:
         if args.k is None:
@@ -210,6 +193,9 @@ def _family_specs(args) -> list[FamilySpec]:
 
 
 def _cmd_families(args) -> int:
+    from .graph_lab import (build_family, chromatic_number, contains_topological_clique,
+                            is_critical, serialize_graph6)
+
     budget = args.budget or {}
     coloring = budget.get("coloring")
     subdivision = budget.get("subdivision")
@@ -233,6 +219,9 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_check_list(args) -> int:
+    from .graph_lab import (chromatic_number, contains_topological_clique, is_critical,
+                            parse_graph6)
+
     budget = args.budget or {}
     try:
         with open(args.file, encoding="utf-8") as handle:
@@ -299,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--base", choices=[rule.value for rule in RuleId], default="eq4")
+    p.add_argument("--base", choices=[rule.value for rule in RuleId], default=RuleId.EQ4.value)
     p.set_defaults(func=_cmd_counting)
 
     p = sub.add_parser("lemma357", help="counting-bound sweep for 3.57r <= n <= 4r")

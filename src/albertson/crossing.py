@@ -60,22 +60,16 @@ All arithmetic is exact; `raw` values read as Fractions, `value` = max(0, ceil(r
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from fractions import Fraction
 
+from .choices import RuleId
 from .errors import InapplicableRuleError
 
 _F = Fraction
-
-
-class RuleId(Enum):
-    EQ1 = "eq1"
-    EQ2 = "eq2"
-    EQ3 = "eq3"
-    EQ4 = "eq4"
-    EQ5 = "eq5"
 
 
 @dataclass(frozen=True)
@@ -99,11 +93,6 @@ LINEAR_RULES: tuple[LinearRule, ...] = (
 )
 
 RULE_BY_ID: dict[RuleId, LinearRule] = {rule.id: rule for rule in LINEAR_RULES}
-
-
-# The five rules over their common denominator 6: 6*raw = A*m - B*(n-2).
-_LINEAR_SIXFOLD: tuple[tuple[LinearRule, int, int], ...] = tuple(
-    (rule, int(6 * rule.a), int(6 * rule.b)) for rule in LINEAR_RULES)
 
 
 class MethodKind(Enum):
@@ -131,6 +120,19 @@ class Method:
         if self.kind is MethodKind.COUNTING:
             return f"counting(s={self.s}, base={self.rule.value})"
         return self.kind.value
+
+
+# The five rules over their common denominator 6, 6*raw = A*m - B*(n-2), each
+# with the provenance that linear_lower reports for it.
+_LINEAR_SIXFOLD: dict[RuleId, tuple[int, int, Method]] = {
+    rule.id: (int(6 * rule.a), int(6 * rule.b), Method(kind=MethodKind.LINEAR, rule=rule.id))
+    for rule in LINEAR_RULES}
+
+
+def _linear_sixfold(n: int, m: int, entry: tuple[int, int, Method]) -> int:
+    """6*raw of the linear rule with this _LINEAR_SIXFOLD entry."""
+    a6, b6, _ = entry
+    return a6 * m - b6 * (n - 2)
 
 
 _set = object.__setattr__
@@ -183,10 +185,14 @@ class CrossingLowerBound:
                 f"method={self.method!r})")
 
 
-def _clamp_ceil(num: int, den: int, method: Method) -> CrossingLowerBound:
+def _bound_value(num: int, den: int) -> int:
     # crossing numbers are integers and never negative; den > 0, so floor
     # division gives the ceiling
-    return CrossingLowerBound(max(0, -(-num // den)), (num, den), method)
+    return max(0, -(-num // den))
+
+
+def _clamp_ceil(num: int, den: int, method: Method) -> CrossingLowerBound:
+    return CrossingLowerBound(_bound_value(num, den), (num, den), method)
 
 
 @dataclass(frozen=True)
@@ -212,9 +218,8 @@ def linear_lower(n: int, m: int) -> CrossingLowerBound:
     if n < 3:
         raise ValueError(f"linear rules need n >= 3, got {n}")
     _check_edge_count(m)
-    best, a6, b6 = max(_LINEAR_SIXFOLD, key=lambda entry: entry[1] * m - entry[2] * (n - 2))
-    return _clamp_ceil(a6 * m - b6 * (n - 2), 6,
-                       Method(kind=MethodKind.LINEAR, rule=best.id))
+    best = max(_LINEAR_SIXFOLD.values(), key=functools.partial(_linear_sixfold, n, m))
+    return _clamp_ceil(_linear_sixfold(n, m, best), 6, best[2])
 
 
 def zarankiewicz(r: int) -> int:

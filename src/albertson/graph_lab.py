@@ -48,9 +48,9 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
+from .choices import FamilyKind
 from .errors import BudgetExceededError, Graph6Error, InapplicableRuleError
 
 # budget key -> (default vertex limit, search named in the error message)
@@ -178,13 +178,6 @@ def join(g: Graph, h: Graph) -> Graph:
 
 # ---------------------------------------------------------------------------
 # families
-
-
-class FamilyKind(Enum):
-    DELTA = "Delta"
-    EFAMILY = "EFamily"
-    CATLIN = "Catlin"
-    COMPLETE = "Complete"
 
 
 @dataclass(frozen=True)

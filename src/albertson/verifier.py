@@ -38,13 +38,16 @@ from enum import Enum
 from fractions import Fraction
 
 from .bounds import CriticalParams, join_refined_edges, ks_edges, min_edges
+from .choices import ReportFormat
 from .crossing import (
-    RULE_BY_ID,
     RuleId,
     SamplingParams,
+    _LINEAR_SIXFOLD,
     _as_exact,
+    _bound_value,
     _counting_coefficients,
     _counting_numerator,
+    _linear_sixfold,
     bipartite_zarankiewicz,
     cr_nmp,
     optimize_p,
@@ -57,12 +60,6 @@ _F = Fraction
 class Verdict(Enum):
     VERIFIED = "Verified"
     GAPS_REMAIN = "GapsRemain"
-
-
-class ReportFormat(Enum):
-    MARKDOWN = "markdown"
-    CSV = "csv"
-    STRUCTURED = "structured"
 
 
 @dataclass(frozen=True)
@@ -208,8 +205,7 @@ def tail_certificate(r: int, p, n0: int) -> TailCertificate:
 
 
 def _case_row(r: int, n: int, m_min: int, target: int) -> CaseRow:
-    rule = RULE_BY_ID[table_rule_id(r)]
-    linear = max(0, math.ceil(rule.raw(n, m_min)))
+    linear = _bound_value(_linear_sixfold(n, m_min, _LINEAR_SIXFOLD[table_rule_id(r)]), 6)
     p = optimize_p(n, m_min)
     prob = cr_nmp(n, m_min, p).value
     return CaseRow(n=n, m_min=m_min, linear_bound=linear, p=p, prob_bound=prob,

@@ -1,10 +1,10 @@
 """Command-line interface: exit codes, output shape, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -219,7 +219,7 @@ class TestFamilies:
             raise AssertionError("criticality checked for a member whose TK search failed")
 
         monkeypatch.delenv("ALBERTSON_BUDGET", raising=False)
-        monkeypatch.setattr("albertson.cli.is_critical", refuse)
+        monkeypatch.setattr("albertson.graph_lab.is_critical", refuse)
         code, out, err = invoke(capsys, "families", "--kind", "Delta", "--r", "11")
         assert code == 2
         assert "chromatic number: 11 (expected 11)" in out
@@ -301,17 +301,85 @@ class TestUsage:
 
 
 class TestClosedStdout:
-    def test_closed_read_end_exits_quietly(self):
+    def test_closed_read_end_exits_quietly(self, child_env):
         # the read end is closed before the child starts, so its first write fails
-        src = Path(albertson.__file__).parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run([sys.executable, "-m", "albertson.cli", "verify", "--r", "17"],
-                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, env=child_env,
                                   timeout=120)
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+# runs one command and prints its exit status and the package modules loaded
+LOADED_MODULES = """
+import contextlib, io, json, sys
+from albertson.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    status = run(sys.argv[1:])
+print(json.dumps([status, sorted(name for name in sys.modules if name.startswith("albertson."))]))
+"""
+
+
+# argv, exit status, a module the command runs, modules it must not load
+PER_COMMAND = [
+    (["verify", "--r", "17"], 1, "verifier", {"graph_lab"}),
+    (["table", "--r", "13"], 0, "verifier", {"graph_lab"}),
+    (["lemma357", "--r", "20"], 0, "verifier", {"graph_lab"}),
+    (["catlin", "--k", "12"], 1, "verifier", {"graph_lab"}),
+    (["edges", "--r", "13", "--n", "20"], 0, "bounds", {"crossing", "verifier", "graph_lab"}),
+    (["bound", "--n", "20", "--m", "100"], 0, "crossing", {"verifier", "graph_lab"}),
+    (["counting", "--n", "20", "--m", "100", "--s", "6"], 0, "crossing",
+     {"verifier", "graph_lab"}),
+    (["families", "--kind", "Delta", "--r", "5", "--budget", "coloring=40"], 0,
+     "graph_lab", {"verifier"}),
+    (["check-list", "--r", "4", "--file", "{good}"], 0, "graph_lab", {"verifier"}),
+]
+
+
+class TestImportsPerCommand:
+    @pytest.mark.parametrize("argv, status, needed, unused", PER_COMMAND,
+                             ids=[case[0][0] for case in PER_COMMAND])
+    def test_loads_only_what_it_runs(self, child_env, tmp_path, argv, status, needed, unused):
+        # the odd wheel K1 v C5 is 4-critical and contains a topological K4
+        good = tmp_path / "good.g6"
+        good.write_text("E|fG\n")
+        argv = [arg.format(good=good) for arg in argv]
+        proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], env=child_env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        got_status, loaded = json.loads(proc.stdout)
+        assert got_status == status
+        assert f"albertson.{needed}" in loaded
+        assert not {f"albertson.{name}" for name in unused} & set(loaded), loaded
+
+
+# sha256 of "exit <status>\n<stdout><stderr>" at 80 columns, recorded before
+# the CLI imported per command.  argparse words some of these differently
+# across Python releases (3.13 keeps the top-level "..." on the choices line;
+# newer patch releases list the choices of an invalid-choice error without
+# quotes), so each text accepts the digest of every wording seen on CPython
+# 3.10.13, 3.11.7, 3.12.1, 3.13.0 and 3.13.13.
+HELP_DIGESTS = {
+    ("--help",): {"52e3c7f1a995542e0e13972dccf62b1043bd7f18dcfeec373a46030007742d8c",
+                  "b96a7b79495bec399d9b31d4ba4dced08c7d4569e4a306cf268d367fffb9089c"},
+    ("families", "--help"): {"f5b17b43a8715882cb28a303ae1fa8ff13a00215e30a615cd5fb5a1b937b7420"},
+    ("verify", "--help"): {"3093ee9c5599d6a91984673982c45ea3841c8044949d26a7c7a6e741305cea21"},
+    ("counting", "--help"): {"924d34be9a5e0dc0be07b5a9616a10de542a8035b4472509027f20d886a791b6"},
+    ("families", "--kind", "Bogus"): {
+        "bc87debf34febd8ed04e5082a781d650cba74a67f8165f489c4ebb94f8e7797e",
+        "04f2123e69cc9ccf0a5d2d590be9017008b2b53139995231cddf312bd5b30e7e"},
+}
+
+
+class TestHelpText:
+    @pytest.mark.parametrize("argv", sorted(HELP_DIGESTS), ids=" ".join)
+    def test_text_is_pinned(self, child_env, argv):
+        proc = subprocess.run([sys.executable, "-m", "albertson.cli", *argv],
+                              env=dict(child_env, COLUMNS="80"),
+                              capture_output=True, text=True, timeout=120)
+        text = f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() in HELP_DIGESTS[argv], text

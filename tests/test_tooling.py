@@ -1,16 +1,14 @@
 """Source checks: no float takes part in the exact arithmetic layers, and
 the package runs without networkx.
 
-An AST scan of `bounds`, `cli`, `crossing`, `graph_lab` and `verifier`
-rejects every float literal and every `float(...)` call.  The only
-exemptions are the display helpers of `cli` and `verifier` that print a
-decimal rendering next to an exact value.
+An AST scan of every module of the package rejects every float literal and
+every `float(...)` call.  The only exemptions are the display helpers of
+`cli` and `verifier` that print a decimal rendering next to an exact value.
 networkx is a test-only oracle: a subprocess that blocks its import still
 runs the graph lab and the CLI.
 """
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,9 +19,10 @@ import albertson
 
 SRC = Path(albertson.__file__).parent
 
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+
 # module -> functions whose bodies may use floats for display
-DISPLAY_ONLY = {"bounds": set(), "cli": {"_rational"}, "crossing": set(),
-                "graph_lab": set(), "verifier": {"_fmt3", "_render_markdown"}}
+DISPLAY_ONLY = {"cli": {"_rational"}, "verifier": {"_fmt3", "_render_markdown"}}
 
 
 def float_uses(source: str, exempt: set[str]) -> list[str]:
@@ -47,14 +46,15 @@ def float_uses(source: str, exempt: set[str]) -> list[str]:
     return [f"{line}: {what}" for line, what in sorted(found)]
 
 
-@pytest.mark.parametrize("module", sorted(DISPLAY_ONLY))
+@pytest.mark.parametrize("module", MODULES)
 def test_no_float_in_exact_layers(module):
     source = (SRC / f"{module}.py").read_text(encoding="utf-8")
-    assert float_uses(source, DISPLAY_ONLY[module]) == []
+    assert float_uses(source, DISPLAY_ONLY.get(module, set())) == []
 
 
 def test_exempt_helpers_exist():
     for module, exempt in DISPLAY_ONLY.items():
+        assert module in MODULES
         tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
         names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert exempt <= names, module
@@ -80,10 +80,8 @@ sys.exit(run(["families", "--kind", "Delta", "--r", "5"]))
 """
 
 
-def test_runs_without_networkx():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", WITHOUT_NETWORKX], env=env,
+def test_runs_without_networkx(child_env):
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NETWORKX], env=child_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()

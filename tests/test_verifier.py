@@ -9,6 +9,7 @@ import pytest
 
 from albertson import (
     REFERENCE_TABLES,
+    RULE_BY_ID,
     TAIL_ANCHORS,
     CriticalParams,
     ReportFormat,
@@ -95,6 +96,14 @@ class TestCaseRows:
         got = [(c.n, c.m_min, c.linear_bound, c.p, c.prob_bound)
                for c in rep.rows]
         assert got == EXPECTED_ROWS[r]
+
+    @pytest.mark.parametrize("r", range(5, 31))
+    def test_linear_column_is_the_table_rule(self, r):
+        # the clamped ceiling of the table rule's exact value, refined rows too
+        rule = RULE_BY_ID[table_rule_id(r)]
+        rep = verify_albertson(r)
+        for row in rep.rows + rep.refined_rows:
+            assert row.linear_bound == max(0, math.ceil(rule.raw(row.n, row.m_min)))
 
     @pytest.mark.parametrize("r", [13, 14, 15, 16, 17])
     def test_targets_and_satisfied(self, r):
