@@ -17,26 +17,47 @@ Families:
 A Graph stores only adjacency bitmasks (bit v of masks[u] is the edge uv),
 and every algorithm below works on them.
 
-Algorithms are exact and budget-guarded: chromatic number by counting k up
-from the largest greedy clique until one k-coloring kernel succeeds (DSATUR
-backtracking on adjacency and color bitmasks, with clique precoloring,
-forward checking, a fresh-color symmetry cap and a Hall count over greedy
-cliques), criticality at r by the same kernel (below), simplicial counts in
-the degree-(n-1) sense, complement structure (components, triangles, and a
-maximum matching by the in-repo Edmonds blossom algorithm), and subdivision
-containment (topological K_t) by a branch-vertex recursion with a
-private-vertex count, then depth-first routing of chordless paths on bitmasks
-with reachability forward checks.  Budgets default to n <= 40 for coloring
-and n <= 20 for subdivision search and can be raised per call (max_n) or via
-the ALBERTSON_BUDGET environment variable, e.g.
+Algorithms are exact and budget-guarded: chromatic number and criticality
+(below), simplicial counts in the degree-(n-1) sense, complement structure
+(components, triangles, and a maximum matching by the in-repo Edmonds blossom
+algorithm), and subdivision containment (topological K_t) by a branch-vertex
+recursion with a private-vertex count, then depth-first routing of chordless
+paths on bitmasks with reachability forward checks.  Budgets default to
+n <= 40 for coloring and n <= 20 for subdivision search and can be raised per
+call (max_n) or via the ALBERTSON_BUDGET environment variable, e.g.
 ALBERTSON_BUDGET="coloring=50,subdivision=24"; unknown keys and negative
 values raise ValueError.  Exceeding a budget raises, never approximates.
+
+Chromatic number: when the complement is triangle-free, i.e. alpha(g) <= 2,
+every color class is one vertex or one non-edge, so a coloring with c
+colors pairs up n - c vertices along a matching of the complement, and a
+maximum matching of size nu gives chi = n - nu exactly, with no search.
+Otherwise k counts up from the largest greedy clique until one k-coloring
+kernel succeeds (DSATUR backtracking on adjacency and color bitmasks, with
+clique precoloring, forward checking, a fresh-color symmetry cap and a Hall
+count over greedy cliques).
 
 Criticality at r never computes chi: g must not be (r-1)-colorable, and
 every G-e must be.  Should some G-e be (r-1)-colorable, a fresh color on one
 end of e r-colors g, so the two halves together give chi = r with every edge
-critical.  Each G-e is colored with the cliques of g minus those holding both
-ends of e; the rest are still cliques of G-e, so the Hall prune stays sound.
+critical.  Once g is known not to be (r-1)-colorable, any (r-1)-coloring of
+G-e makes e = uv its one monochromatic edge of g, and the colorings come
+from three sound sources:
+
+  - a search on G-e, with the cliques of g minus those holding both u and v;
+    the rest are still cliques of G-e, so the Hall prune stays sound;
+  - when alpha(g) <= 2, a matching on the contraction G/uv (Zykov 1949):
+    an (r-1)-coloring of G-uv gives u and v one color, so it colors G/uv,
+    and a coloring of G/uv gives u and v the color of the merged vertex, a
+    coloring of G-uv.  So G-uv is (r-1)-colorable iff G/uv is.  An
+    independent set of G/uv holding the merged vertex is one of g holding
+    u, so alpha(G/uv) <= alpha(g) <= 2 and the matching colors G/uv with
+    chi(G/uv) colors;
+  - a recoloring move: if an end z of e has exactly one neighbor x of some
+    color b, recoloring z to b leaves zx the one monochromatic edge of g, so
+    the result colors G-zx.  (z has a neighbor of every color, else
+    recoloring it would color g.)  Moves are followed depth-first, and only
+    an edge that no move reached needs a search or a matching of its own.
 
 Graphs read and write the graph6 text format (one graph per line) for
 exchanging externally published graph lists.
@@ -46,7 +67,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -321,8 +342,9 @@ def _cliques(adj: Sequence[int]) -> list[int]:
     return sorted(found, key=lambda c: (-c.bit_count(), c))
 
 
-def _k_colorable(adj: Sequence[int], k: int, cliques: list[int]) -> bool:
-    """Exact k-colorability of the graph with adjacency bitmasks adj.
+def _k_coloring(adj: Sequence[int], k: int, cliques: list[int]) -> list[int] | None:
+    """A k-coloring (color of each vertex, 0..k-1) of the graph with
+    adjacency bitmasks adj, or None if it has none.
 
     cliques must be cliques of this graph, largest first.  The largest is
     precolored 0..q-1; then DSATUR backtracking (Brelaz 1979) picks the
@@ -340,13 +362,13 @@ def _k_colorable(adj: Sequence[int], k: int, cliques: list[int]) -> bool:
     """
     n = len(adj)
     if cliques and cliques[0].bit_count() > k:
-        return False
+        return None
     degree = [a.bit_count() for a in adj]
 
     def assign(colors: list[int], uncolored: int, v: int, c: int) -> bool:
         """Give v color c (v already out of uncolored) and propagate; False
         if a domain wipes out or a clique fails the Hall count."""
-        bit = 1 << c
+        bit = colors[v] = 1 << c
         shrunk = 0
         for u in _bits(adj[v] & uncolored):
             if colors[u] & bit:
@@ -364,16 +386,18 @@ def _k_colorable(adj: Sequence[int], k: int, cliques: list[int]) -> bool:
                     return False
         return True
 
-    def solve(colors: list[int], uncolored: int, used: int) -> bool:
+    def solve(colors: list[int], uncolored: int, used: int) -> list[int] | None:
         if not uncolored:
-            return True
+            return [bit.bit_length() - 1 for bit in colors]
         v = min(_bits(uncolored), key=lambda u: (colors[u].bit_count(), -degree[u], u))
         uncolored ^= 1 << v
         for c in _bits(colors[v] & ((2 << used) - 1)):
             child = colors[:]
-            if assign(child, uncolored, v, c) and solve(child, uncolored, max(used, c + 1)):
-                return True
-        return False
+            if assign(child, uncolored, v, c):
+                found = solve(child, uncolored, max(used, c + 1))
+                if found is not None:
+                    return found
+        return None
 
     colors = [(1 << k) - 1] * n
     uncolored = (1 << n) - 1
@@ -381,20 +405,112 @@ def _k_colorable(adj: Sequence[int], k: int, cliques: list[int]) -> bool:
     for c, v in enumerate(_bits(root)):
         uncolored ^= 1 << v
         if not assign(colors, uncolored, v, c):
-            return False
+            return None
     return solve(colors, uncolored, root.bit_count())
 
 
+def _complement_masks(adj: Sequence[int]) -> list[int]:
+    full = (1 << len(adj)) - 1
+    return [full ^ mask ^ 1 << v for v, mask in enumerate(adj)]
+
+
+def _has_triangle(adj: Sequence[int]) -> bool:
+    return any(adj[u] & adj[v] for u in range(len(adj)) for v in _bits(adj[u]))
+
+
+def _classes(mate: list[int]) -> list[int]:
+    """Colors from a list in which mate[x] < x means that x takes the color
+    of mate[x], as the later end of a matched pair does; every other vertex
+    opens the next color."""
+    colors: list[int] = []
+    fresh = 0
+    for x, m in enumerate(mate):
+        if 0 <= m < x:
+            colors.append(colors[m])
+        else:
+            colors.append(fresh)
+            fresh += 1
+    return colors
+
+
 def chromatic_number(g: Graph, max_n: int | None = None) -> int:
-    """Exact chromatic number: k counts up from the largest clique found
-    until the graph is k-colorable."""
+    """Exact chromatic number.  With alpha(g) <= 2 it is n - nu(complement);
+    otherwise k counts up from the largest clique found until the graph is
+    k-colorable."""
     _check_budget("coloring", g.vertex_count, max_n)
     adj = g.masks
+    comp = _complement_masks(adj)
+    if not _has_triangle(comp):
+        return max(_classes(_max_matching(comp)), default=-1) + 1
     cliques = _cliques(adj)
     k = cliques[0].bit_count() if cliques else 0
-    while not _k_colorable(adj, k, cliques):
+    while _k_coloring(adj, k, cliques) is None:
         k += 1
     return k
+
+
+def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[int]]]:
+    """Yield (e, an (r-1)-coloring of G-e) for each edge e of g, each edge
+    once, if g is not (r-1)-colorable; stop at the first edge whose G-e is
+    not (r-1)-colorable either, and yield nothing if g is."""
+    adj, k = g.masks, r - 1
+    comp = _complement_masks(adj)
+    if not _has_triangle(comp):
+        if max(_classes(_max_matching(comp))) < k:
+            return
+
+        def color(u: int, v: int) -> list[int] | None:
+            # the complement of G/uv, with v merged into u (u < v)
+            both = comp[u] & comp[v]
+            merged = [mask & ~(1 << u | 1 << v) | (both >> x & 1) << u
+                      for x, mask in enumerate(comp)]
+            merged[u], merged[v] = both, 0
+            mate = _max_matching(merged)
+            mate[v] = u  # v takes the color of u in _classes
+            colors = _classes(mate)
+            return colors if max(colors) < k else None
+    else:
+        cliques = _cliques(adj)
+        if _k_coloring(adj, k, cliques) is not None:
+            return
+
+        def color(u: int, v: int) -> list[int] | None:
+            without = list(adj)
+            without[u] ^= 1 << v
+            without[v] ^= 1 << u
+            both = 1 << u | 1 << v
+            return _k_coloring(without, k, [c for c in cliques if c & both != both])
+
+    open_edges = set(g.edges)
+    for edge in sorted(open_edges):
+        if edge not in open_edges:
+            continue
+        colors = color(*edge)
+        if colors is None:
+            return
+        open_edges.discard(edge)
+        stack = [(edge, colors)]
+        while stack:
+            edge, colors = stack.pop()
+            yield edge, colors
+            classes = [0] * k
+            for x, c in enumerate(colors):
+                classes[c] |= 1 << x
+            for z in edge:
+                for beta, members in enumerate(classes):
+                    # an end z with exactly one neighbor x of color beta
+                    # moves to beta, and zx is the only edge left monochromatic;
+                    # beta = colors[z] finds e itself, and no neighbor of color
+                    # beta cannot happen, as it would color g
+                    hit = adj[z] & members
+                    if hit & (hit - 1) == 0:
+                        x = hit.bit_length() - 1
+                        moved = (z, x) if z < x else (x, z)
+                        if moved in open_edges:
+                            open_edges.discard(moved)
+                            recolored = colors[:]
+                            recolored[z] = beta
+                            stack.append((moved, recolored))
 
 
 def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
@@ -408,27 +524,19 @@ def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
     chi is never computed: g must not be (r-1)-colorable, so chi >= r, and
     every G-e must be.  That is exact: an (r-1)-coloring of G-e, e = uv, plus
     a fresh color on u r-colors g, so chi = r and every edge is critical
-    (with no edge, chi <= 1 <= r anyway).  Each G-e is colored with the
-    cliques of g minus those holding both u and v; the rest are still cliques
-    of G-e, so the Hall prune stays sound.
+    (with no edge, chi = min(n, 1)).  With alpha(g) <= 2, n - nu(complement)
+    >= r proves the first half and each G-e is colored through G/e;
+    otherwise DSATUR searches refute g and color G-e.  Either way, a coloring
+    of one G-e recolors into colorings of other G-e' by moving one end of e,
+    so most edges need no coloring of their own; the module docstring gives
+    the three soundness arguments.
     """
     if r >= 2 and 0 in g.masks:
         return False
     _check_budget("coloring", g.vertex_count, max_n)
-    if r <= 0:
-        return r == 0 and g.vertex_count == 0
-    adj = g.masks
-    cliques = _cliques(adj)
-    if _k_colorable(adj, r - 1, cliques):
-        return False
-    for u, v in sorted(g.edges):
-        without = list(adj)
-        without[u] ^= 1 << v
-        without[v] ^= 1 << u
-        both = 1 << u | 1 << v
-        if not _k_colorable(without, r - 1, [c for c in cliques if c & both != both]):
-            return False
-    return True
+    if r <= 0 or not g.edge_count:
+        return r == min(g.vertex_count, 1)
+    return sum(1 for _ in _edge_colorings(g, r)) == g.edge_count
 
 
 def simplicial_vertices(g: Graph) -> list[int]:
@@ -459,7 +567,7 @@ class ComplementAnalysis:
 def complement_analysis(g: Graph) -> ComplementAnalysis:
     """Component count, exact maximum matching size, and triangle presence in
     the complement of g."""
-    comp = g.complement().masks
+    comp = _complement_masks(g.masks)
     components, unseen = 0, (1 << len(comp)) - 1
     while unseen:
         components += 1
@@ -469,14 +577,15 @@ def complement_analysis(g: Graph) -> ComplementAnalysis:
             for v in _bits(reached):
                 grown |= comp[v]
         unseen &= ~reached
-    has_triangle = any(comp[u] & comp[v] for u in range(len(comp)) for v in _bits(comp[u]))
-    return ComplementAnalysis(components=components, max_matching=_max_matching(comp),
-                              has_triangle=has_triangle)
+    unmatched = _max_matching(comp).count(-1)
+    return ComplementAnalysis(components=components, max_matching=(len(comp) - unmatched) // 2,
+                              has_triangle=_has_triangle(comp))
 
 
-def _max_matching(adj: Sequence[int]) -> int:
-    """Size of a maximum matching of the graph with adjacency bitmasks adj,
-    by Edmonds' blossom algorithm (Edmonds 1965).
+def _max_matching(adj: Sequence[int]) -> list[int]:
+    """A maximum matching of the graph with adjacency bitmasks adj, as the
+    mate of each vertex (-1 if unmatched), by Edmonds' blossom algorithm
+    (Edmonds 1965).
 
     Each still unmatched vertex roots a breadth-first alternating tree; a
     vertex of the queue is an outer (even) vertex.  An edge between two
@@ -547,7 +656,10 @@ def _max_matching(adj: Sequence[int]) -> int:
                     queue.append(match[to])
         return False
 
-    return sum(1 for v in range(n) if match[v] == -1 and augment(v))
+    for v in range(n):
+        if match[v] == -1:
+            augment(v)
+    return match
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from albertson import (
     serialize_graph6,
     simplicial_vertices,
 )
+from albertson.graph_lab import _edge_colorings
 
 
 def _random_graph(rng, n, density=0.5):
@@ -43,20 +44,22 @@ def _random_graph(rng, n, density=0.5):
 
 
 def _oracle_chromatic(g):
-    """Plain backtracking over color assignments, no bounds or heuristics."""
+    """Plain backtracking over color assignments in label order, no bounds or
+    heuristics.  Colors are numbered by first use (vertex v may open at most
+    color top + 1), which every coloring becomes after renaming its colors."""
     n = g.vertex_count
     if n == 0:
         return 0
     colors = [0] * n
     adjacency = g.adjacency  # derived from the masks on each access
 
-    def feasible(v, k):
+    def feasible(v, k, top=0):
         if v == n:
             return True
-        for c in range(1, k + 1):
+        for c in range(1, min(k, top + 1) + 1):
             if all(colors[w] != c for w in adjacency[v] if w < v):
                 colors[v] = c
-                if feasible(v + 1, k):
+                if feasible(v + 1, k, max(top, c)):
                     return True
         colors[v] = 0
         return False
@@ -128,6 +131,14 @@ def _mycielski(g):
     return Graph(2 * n + 1, edges)
 
 
+def _mycielski_k(k):
+    """The k-critical Mycielski graph M_k (k >= 2): M_2 = K_2."""
+    g = complete_graph(2)
+    for _ in range(k - 2):
+        g = _mycielski(g)
+    return g
+
+
 def _petersen():
     return Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                       (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
@@ -150,6 +161,29 @@ def _relabel(g, rng):
     perm = list(range(g.vertex_count))
     rng.shuffle(perm)
     return Graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _co_triangle_free(rng, n):
+    """A random graph with independence number <= 2: the complement of a
+    triangle-free graph whose edges are drawn in random order, each kept with
+    a random probability when it closes no triangle."""
+    keep = rng.uniform(0.3, 1.0)
+    masks = [0] * n
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        if not masks[u] & masks[v] and rng.random() < keep:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return Graph(n, [(u, v) for u, v in pairs if not masks[u] >> v & 1])
+
+
+def _oracle_critical(g, r):
+    """Edge-deletion oracle: chi = r, no isolated vertex when r >= 2, and
+    every G-e colorable with fewer colors."""
+    isolated = any(g.degree(v) == 0 for v in range(g.vertex_count))
+    return (_oracle_chromatic(g) == r and not (r >= 2 and isolated)
+            and all(_oracle_chromatic(g.without_edge(*e)) < r for e in g.edges))
 
 
 class TestGraphType:
@@ -275,7 +309,8 @@ class TestChromatic:
         g = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5)])
         assert chromatic_number(g) == 2
 
-    @pytest.mark.parametrize("k,chi", [(1, 3), (2, 5), (3, 8), (4, 10)])
+    @pytest.mark.parametrize("k,chi", [(1, 3), (2, 5), (3, 8), (4, 10), (5, 13), (6, 15),
+                                       (7, 18), (8, 20)])
     def test_catlin(self, k, chi):
         g = build_family(FamilySpec(FamilyKind.CATLIN, sizes=(k,)))
         assert chromatic_number(g) == chi
@@ -290,6 +325,16 @@ class TestChromatic:
         for _ in range(50):
             g = _random_graph(rng, rng.randint(1, 10), rng.uniform(0.2, 0.8))
             assert chromatic_number(g) == _oracle_chromatic(g)
+
+
+# r-critical graphs by name: (the members, r)
+_CERTIFIED = {
+    **{f"Delta{r}": ([build_family(spec) for spec in delta_splits(r)], r) for r in (4, 6, 8)},
+    **{f"E{r}": ([build_family(spec) for spec in efamily_splits(r)], r) for r in (4, 5, 7)},
+    **{f"M{k}": ([_mycielski_k(k)], k) for k in (4, 5)},
+    **{f"Catlin{k}": ([build_family(FamilySpec(FamilyKind.CATLIN, sizes=(k,)))], -(-5 * k // 2))
+       for k in (3, 5, 7)},
+}
 
 
 class TestCriticality:
@@ -329,11 +374,6 @@ class TestCriticality:
         # each random graph and an edge-minimal subgraph with the same chi,
         # which is edge-critical and often has no isolated vertex; asked at
         # r = chi - 1, chi, chi + 1, since is_critical decides chi = r itself
-        def oracle(x, r):
-            isolated = any(x.degree(v) == 0 for v in range(x.vertex_count))
-            return (_oracle_chromatic(x) == r and not (r >= 2 and isolated)
-                    and all(_oracle_chromatic(x.without_edge(*e)) < r for e in x.edges))
-
         rng = random.Random(0xC7)
         cases = [(Graph(n), r) for n in (0, 1) for r in (0, 1)]
         for _ in range(40):
@@ -346,10 +386,51 @@ class TestCriticality:
             cases += [(x, r) for x in (g, h) for r in (chi - 1, chi, chi + 1)]
         critical = 0
         for x, r in cases:
-            expected = oracle(x, r)
+            expected = _oracle_critical(x, r)
             assert is_critical(x, r) == expected, (x.edges, r)
             critical += expected
         assert critical > 10
+
+    def test_independence_two_matches_oracles(self):
+        # alpha(g) <= 2 takes the matching path (chi = n - nu(complement),
+        # G/uv per edge); each graph and a subgraph with the same chi that no
+        # edge deletion keeps at alpha <= 2, asked at chi - 1, chi, chi + 1
+        rng = random.Random(0xD2)
+        critical = 0
+        for _ in range(60):
+            g = _co_triangle_free(rng, rng.randint(1, 12))
+            chi = _oracle_chromatic(g)
+            h = g
+            for e in rng.sample(sorted(g.edges), len(g.edges)):
+                x = h.without_edge(*e)
+                if complement_analysis(x).has_triangle is False and _oracle_chromatic(x) == chi:
+                    h = x
+            for x in (g, h):
+                assert chromatic_number(x) == chi, x.edges
+                for r in (chi - 1, chi, chi + 1):
+                    expected = _oracle_critical(x, r)
+                    assert is_critical(x, r) == expected, (x.edges, r)
+                    critical += expected
+        assert critical > 20
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_catlin_critical_iff_k_odd(self, k):
+        g = build_family(FamilySpec(FamilyKind.CATLIN, sizes=(k,)))
+        assert is_critical(g, -(-5 * k // 2)) == (k % 2 == 1)
+
+    @pytest.mark.parametrize("name", list(_CERTIFIED))
+    def test_edge_colorings_certify_each_edge_once(self, name):
+        # one (r-1)-coloring of G-e per edge e, whether it came from a search,
+        # a matching of the complement of G/e, or a recoloring move
+        rng = random.Random(name)
+        graphs, r = _CERTIFIED[name]
+        for g in graphs:
+            g = _relabel(g, rng)
+            pairs = list(_edge_colorings(g, r))
+            assert sorted(e for e, _ in pairs) == sorted(g.edges)
+            for e, colors in pairs:
+                assert len(colors) == g.vertex_count and set(colors) <= set(range(r - 1))
+                assert all(colors[u] != colors[v] for u, v in g.edges if (u, v) != e)
 
 
 class TestSimplicial:
