@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -135,54 +135,34 @@ def _linear_sixfold(n: int, m: int, entry: tuple[int, int, Method]) -> int:
     return a6 * m - b6 * (n - 2)
 
 
-_set = object.__setattr__
-
-
+@dataclass(frozen=True, init=False)
 class CrossingLowerBound:
     """An integer lower bound on cr(G) with its exact pre-ceiling value and
     full provenance.
 
-    Immutable, and equal, hashed and printed like a frozen dataclass with
-    the fields (value, raw, method).  The kernels pass `raw` as the
-    unreduced integer pair (num, den); it is reduced to a Fraction on first
-    read, so a caller that reads only `value` pays no gcd.
+    The kernels pass `raw` as the unreduced integer pair (num, den); it is
+    reduced to a Fraction on first read, so a caller that reads only `value`
+    pays no gcd.
     """
 
-    __slots__ = ("value", "method", "_raw")
+    value: int
+    # dataclass records the raw property below as this field's default;
+    # with init=False nothing reads it
+    raw: Fraction
+    method: Method
 
-    def __init__(self, value: int, raw: Fraction, method: Method):
-        _set(self, "value", value)
-        _set(self, "method", method)
-        _set(self, "_raw", raw)
+    def __init__(self, value: int, raw: Fraction | tuple[int, int], method: Method):
+        # written to the instance dict: the frozen __setattr__ refuses, and
+        # the raw property has no setter
+        state = self.__dict__
+        state["value"], state["raw"], state["method"] = value, raw, method
 
     @property
     def raw(self) -> Fraction:
-        raw = self._raw
+        raw = self.__dict__["raw"]
         if type(raw) is tuple:
-            raw = _F(*raw)
-            _set(self, "_raw", raw)
+            raw = self.__dict__["raw"] = _F(*raw)
         return raw
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return CrossingLowerBound, (self.value, self.raw, self.method)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.raw, self.method) == (other.value, other.raw, other.method)
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.raw, self.method))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(value={self.value!r}, raw={self.raw!r}, "
-                f"method={self.method!r})")
 
 
 def _bound_value(num: int, den: int) -> int:

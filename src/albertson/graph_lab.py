@@ -117,11 +117,13 @@ def _check_budget(kind: str, n: int, max_n: int | None) -> None:
             f"max_n or ALBERTSON_BUDGET={kind}=<N>")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Graph:
     """Immutable simple graph on vertices 0..vertex_count-1, stored as
     adjacency bitmasks; edges (u < v) and neighbor sets derive from them."""
 
-    __slots__ = ("vertex_count", "masks")
+    vertex_count: int
+    masks: tuple[int, ...]
 
     def __init__(self, vertex_count: int, edges=()):
         if vertex_count < 0:
@@ -134,8 +136,8 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={vertex_count}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self.vertex_count = vertex_count
-        self.masks = tuple(masks)
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "masks", tuple(masks))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -157,21 +159,14 @@ class Graph:
         return 0 <= u < self.vertex_count and v >= 0 and self.masks[u] >> v & 1 == 1
 
     def without_edge(self, u: int, v: int) -> "Graph":
-        a, b = (u, v) if u < v else (v, u)
-        if (a, b) not in self.edges:
+        if not self.has_edge(u, v):
             raise ValueError(f"no edge ({u}, {v})")
-        return Graph(self.vertex_count, self.edges - {(a, b)})
+        return Graph(self.vertex_count, self.edges - {(u, v) if u < v else (v, u)})
 
     def complement(self) -> "Graph":
         n = self.vertex_count
         return Graph(n, ((u, v) for u, v in itertools.combinations(range(n), 2)
                          if not self.has_edge(u, v)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.masks == other.masks
-
-    def __hash__(self) -> int:
-        return hash(self.masks)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"

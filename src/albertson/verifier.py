@@ -347,21 +347,20 @@ def remark2_check(r: int) -> SweepResult:
     With m = (r-1)n/2, the m >= 103n/16 form of the crossing lemma gives
     cr(G) >= (r-1)^3 n / (31.1 * 8); the chain checks this is >= r(r-1)^3/250
     (true as soon as n >= 248.8r/250) and that r(r-1)^3/250 >= Z(r)/4.
+    Step 1 rises with n and step 2 does not depend on n, so the smallest
+    margin over the range is the one at n = r.
     """
     if r < 14:
         raise ValueError(
             f"the chain needs m = (r-1)n/2 >= 103n/16, i.e. r >= 14, got {r}")
     n_lo = r
     n_hi = -(-357 * r // 100)
-    step2 = _F(r) * (r - 1) ** 3 / 250 - _F(zarankiewicz(r), 4)
-    best: tuple[Fraction, int] | None = None
-    for n in range(n_lo, n_hi + 1):
-        step1 = _F(r - 1) ** 3 * n / (_F(311, 10) * 8) - _F(r) * (r - 1) ** 3 / 250
-        margin = min(step1, step2)
-        if best is None or margin < best[0]:
-            best = (margin, n)
-    return SweepResult(ok=best[0] >= 0, r=r, n_lo=n_lo, n_hi=n_hi,
-                       min_margin=best[0], argmin_n=best[1])
+    target = _F(r) * (r - 1) ** 3 / 250
+    step1 = _F(r - 1) ** 3 * n_lo / (_F(311, 10) * 8) - target
+    step2 = target - _F(zarankiewicz(r), 4)
+    margin = min(step1, step2)
+    return SweepResult(ok=margin >= 0, r=r, n_lo=n_lo, n_hi=n_hi,
+                       min_margin=margin, argmin_n=n_lo)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import itertools
 import math
 import pickle
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -534,3 +534,13 @@ class TestLazyRecord:
         assert bound.value >= 0 and built == []
         assert bound.raw is bound.raw
         assert len(built) == 1
+
+    def test_dataclass_helpers_read_the_reduced_raw(self, kernel):
+        want = kernel()
+        assert [f.name for f in fields(CrossingLowerBound)] == ["value", "raw", "method"]
+        doc = asdict(kernel())
+        assert type(doc["raw"]) is Fraction and doc["raw"] == want.raw
+        assert doc["value"] == want.value
+        moved = replace(kernel(), value=want.value + 1)
+        assert type(moved.raw) is Fraction and moved.raw == want.raw
+        assert moved.method == want.method and moved.value == want.value + 1

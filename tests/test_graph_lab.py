@@ -1,8 +1,10 @@
 """Small-graph laboratory: family constructors, exact coloring, criticality,
 simplicial/complement analysis, topological clique search, graph6 round-trips."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 
 import networkx as nx
@@ -239,6 +241,21 @@ class TestGraphType:
     def test_degrees(self):
         g = cycle_graph(5)
         assert [g.degree(v) for v in range(5)] == [2] * 5
+
+    def test_is_a_frozen_dataclass(self):
+        g = cycle_graph(5)
+        assert [f.name for f in dataclasses.fields(Graph)] == ["vertex_count", "masks"]
+        for name, value in (("masks", ()), ("vertex_count", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, value)
+        assert g == cycle_graph(5) and g.edge_count == 5
+
+    def test_pickle_and_copy_round_trips(self):
+        g = complete_graph(4).without_edge(1, 3)
+        for copier in (lambda h: pickle.loads(pickle.dumps(h)), copy.copy, copy.deepcopy):
+            got = copier(g)
+            assert got == g and hash(got) == hash(g)
+            assert (got.vertex_count, got.masks, got.edges) == (g.vertex_count, g.masks, g.edges)
 
 
 class TestFamilies:

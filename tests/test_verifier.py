@@ -14,6 +14,7 @@ from albertson import (
     CriticalParams,
     ReportFormat,
     RuleId,
+    SweepResult,
     Verdict,
     catlin_check,
     compare_with_reference,
@@ -318,6 +319,22 @@ class TestRemark2:
     def test_rejects_small_r(self):
         with pytest.raises(ValueError):
             remark2_check(13)
+
+    def test_matches_sweep_over_every_n(self):
+        """The closed form equals the sweep over every n in [r, ceil(3.57r)]
+        that keeps the first smallest margin."""
+        for r in range(14, 301):
+            n_hi = -(-357 * r // 100)
+            target = Fraction(r) * (r - 1) ** 3 / 250
+            step2 = target - Fraction(zarankiewicz(r), 4)
+            best = None
+            for n in range(r, n_hi + 1):
+                step1 = Fraction(r - 1) ** 3 * n / (Fraction(311, 10) * 8) - target
+                margin = min(step1, step2)
+                if best is None or margin < best[0]:
+                    best = (margin, n)
+            assert remark2_check(r) == SweepResult(
+                ok=best[0] >= 0, r=r, n_lo=r, n_hi=n_hi, min_margin=best[0], argmin_n=best[1])
 
 
 class TestCatlin:
