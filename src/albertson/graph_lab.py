@@ -25,8 +25,9 @@ recursion with a private-vertex count, then depth-first routing of chordless
 paths on bitmasks with reachability forward checks.  Budgets default to
 n <= 40 for coloring and n <= 20 for subdivision search and can be raised per
 call (max_n) or via the ALBERTSON_BUDGET environment variable, e.g.
-ALBERTSON_BUDGET="coloring=50,subdivision=24"; unknown keys and negative
-values raise ValueError.  Exceeding a budget raises, never approximates.
+ALBERTSON_BUDGET="coloring=50,subdivision=24"; unknown or repeated keys and
+negative values raise ValueError.  Exceeding a budget, or the interpreter's
+recursion limit in a search, raises BudgetExceededError, never approximates.
 
 Chromatic number: when the complement is triangle-free, i.e. alpha(g) <= 2,
 every color class is one vertex or one non-edge, so a coloring with c
@@ -38,26 +39,22 @@ clique precoloring, forward checking, a fresh-color symmetry cap and a Hall
 count over greedy cliques).
 
 Criticality at r never computes chi: g must not be (r-1)-colorable, and
-every G-e must be.  Should some G-e be (r-1)-colorable, a fresh color on one
-end of e r-colors g, so the two halves together give chi = r with every edge
-critical.  Once g is known not to be (r-1)-colorable, any (r-1)-coloring of
-G-e makes e = uv its one monochromatic edge of g, and the colorings come
-from three sound sources:
+every G-e must be; a fresh color on one end of e then r-colors g, so chi = r
+with every edge critical.  Once g is known not to be (r-1)-colorable, an
+(r-1)-coloring of G-e makes e = uv its one monochromatic edge of g, and the
+colorings come from two sound sources:
 
-  - a search on G-e, with the cliques of g minus those holding both u and v;
-    the rest are still cliques of G-e, so the Hall prune stays sound;
-  - when alpha(g) <= 2, a matching on the contraction G/uv (Zykov 1949):
-    an (r-1)-coloring of G-uv gives u and v one color, so it colors G/uv,
-    and a coloring of G/uv gives u and v the color of the merged vertex, a
-    coloring of G-uv.  So G-uv is (r-1)-colorable iff G/uv is.  An
-    independent set of G/uv holding the merged vertex is one of g holding
-    u, so alpha(G/uv) <= alpha(g) <= 2 and the matching colors G/uv with
-    chi(G/uv) colors;
+  - the contraction G/uv (Zykov 1949): a coloring of G-uv that gives u and v
+    one color colors G/uv, and a coloring of G/uv gives u and v the color of
+    the merged vertex.  So G-uv is (r-1)-colorable iff G/uv is, and G/uv is
+    colored as g is refuted: by the matching when alpha(g) <= 2 (an
+    independent set of G/uv holding the merged vertex is one of g holding u,
+    so alpha(G/uv) <= alpha(g)), otherwise by the search;
   - a recoloring move: if an end z of e has exactly one neighbor x of some
     color b, recoloring z to b leaves zx the one monochromatic edge of g, so
     the result colors G-zx.  (z has a neighbor of every color, else
     recoloring it would color g.)  Moves are followed depth-first, and only
-    an edge that no move reached needs a search or a matching of its own.
+    an edge that no move reached needs a contraction of its own.
 
 Graphs read and write the graph6 text format (one graph per line) for
 exchanging externally published graph lists.
@@ -67,6 +64,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,7 +78,7 @@ _BUDGETS = {"coloring": (40, "chromatic_number"), "subdivision": (20, "subdivisi
 
 def _parse_budget(spec: str) -> dict[str, int]:
     """Parse a budget spec such as "coloring=50,subdivision=24".  Malformed
-    entries, unknown keys and negative values raise ValueError."""
+    entries, unknown or repeated keys and negative values raise ValueError."""
     out = {}
     for entry in spec.split(","):
         key, sep, value = entry.partition("=")
@@ -90,6 +88,8 @@ def _parse_budget(spec: str) -> dict[str, int]:
         if key not in _BUDGETS:
             raise ValueError(f"unknown budget key {key!r}; known keys are "
                              + ", ".join(_BUDGETS))
+        if key in out:
+            raise ValueError(f"budget key {key!r} given twice in {spec!r}")
         try:
             limit = int(value)
         except ValueError:
@@ -115,6 +115,15 @@ def _check_budget(kind: str, n: int, max_n: int | None) -> None:
         raise BudgetExceededError(
             f"{search} budget is n <= {limit}, got n={n}; raise it via "
             f"max_n or ALBERTSON_BUDGET={kind}=<N>")
+
+
+def _run_search(kind: str, search, *args):
+    """search(*args); recursing past the interpreter's limit exceeds a budget."""
+    try:
+        return search(*args)
+    except RecursionError:
+        raise BudgetExceededError(f"{kind} search exceeds the recursion limit "
+                                  f"{sys.getrecursionlimit()}") from None
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -353,7 +362,7 @@ def _k_coloring(adj: Sequence[int], k: int, cliques: list[int]) -> list[int] | N
     members.  Only cliques containing a vertex whose colors just shrank are
     rechecked; the others hold at least as many colors as before.  The prune
     needs only that every listed set is a clique of this graph, not that it
-    is maximal, which is what lets is_critical reuse the cliques of g on G-e.
+    is maximal.
     """
     n = len(adj)
     if cliques and cliques[0].bit_count() > k:
@@ -401,7 +410,7 @@ def _k_coloring(adj: Sequence[int], k: int, cliques: list[int]) -> list[int] | N
         uncolored ^= 1 << v
         if not assign(colors, uncolored, v, c):
             return None
-    return solve(colors, uncolored, root.bit_count())
+    return _run_search("coloring", solve, colors, uncolored, root.bit_count())
 
 
 def _complement_masks(adj: Sequence[int]) -> list[int]:
@@ -449,32 +458,28 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
     once, if g is not (r-1)-colorable; stop at the first edge whose G-e is
     not (r-1)-colorable either, and yield nothing if g is."""
     adj, k = g.masks, r - 1
-    comp = _complement_masks(adj)
-    if not _has_triangle(comp):
-        if max(_classes(_max_matching(comp))) < k:
-            return
-
-        def color(u: int, v: int) -> list[int] | None:
-            # the complement of G/uv, with v merged into u (u < v)
-            both = comp[u] & comp[v]
-            merged = [mask & ~(1 << u | 1 << v) | (both >> x & 1) << u
-                      for x, mask in enumerate(comp)]
-            merged[u], merged[v] = both, 0
-            mate = _max_matching(merged)
-            mate[v] = u  # v takes the color of u in _classes
-            colors = _classes(mate)
-            return colors if max(colors) < k else None
+    # the matching colors exactly only when alpha <= 2, and alpha(G/uv) <=
+    # alpha(g), so the choice made on g holds for every contraction
+    if _has_triangle(_complement_masks(adj)):
+        def oracle(masks: Sequence[int]) -> list[int] | None:
+            return _k_coloring(masks, k, _cliques(masks))
     else:
-        cliques = _cliques(adj)
-        if _k_coloring(adj, k, cliques) is not None:
-            return
+        def oracle(masks: Sequence[int]) -> list[int] | None:
+            colors = _classes(_max_matching(_complement_masks(masks)))
+            return colors if max(colors) < k else None
+    if oracle(adj) is not None:
+        return
 
-        def color(u: int, v: int) -> list[int] | None:
-            without = list(adj)
-            without[u] ^= 1 << v
-            without[v] ^= 1 << u
-            both = 1 << u | 1 << v
-            return _k_coloring(without, k, [c for c in cliques if c & both != both])
+    def color(u: int, v: int) -> list[int] | None:
+        # G/uv: v merged into u (u < v), then bit and index v dropped
+        uv, low = 1 << u | 1 << v, (1 << v) - 1
+        merged = [mask & ~uv | (mask & uv != 0) << u for mask in adj]
+        merged[u] = (adj[u] | adj[v]) & ~uv
+        colors = oracle([mask & low | mask >> 1 & ~low
+                         for x, mask in enumerate(merged) if x != v])
+        if colors is not None:
+            colors.insert(v, colors[u])  # v takes the color of u
+        return colors
 
     open_edges = set(g.edges)
     for edge in sorted(open_edges):
@@ -519,12 +524,10 @@ def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
     chi is never computed: g must not be (r-1)-colorable, so chi >= r, and
     every G-e must be.  That is exact: an (r-1)-coloring of G-e, e = uv, plus
     a fresh color on u r-colors g, so chi = r and every edge is critical
-    (with no edge, chi = min(n, 1)).  With alpha(g) <= 2, n - nu(complement)
-    >= r proves the first half and each G-e is colored through G/e;
-    otherwise DSATUR searches refute g and color G-e.  Either way, a coloring
-    of one G-e recolors into colorings of other G-e' by moving one end of e,
-    so most edges need no coloring of their own; the module docstring gives
-    the three soundness arguments.
+    (with no edge, chi = min(n, 1)).  One oracle, the complement matching
+    when alpha(g) <= 2 and a DSATUR search otherwise, refutes g and colors
+    each G-uv through the contraction G/uv; recoloring moves spare most
+    edges a coloring of their own (module docstring).
     """
     if r >= 2 and 0 in g.masks:
         return False
@@ -819,7 +822,7 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
                     return witness
         return None
 
-    return choose(0, 0, 0, 0)
+    return _run_search("subdivision", choose, 0, 0, 0, 0)
 
 
 def contains_topological_clique(g: Graph, t: int, max_n: int | None = None) -> bool:

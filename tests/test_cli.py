@@ -225,6 +225,16 @@ class TestFamilies:
         assert "chromatic number: 11 (expected 11)" in out
         assert "subdivision budget" in err
 
+    def test_recursion_limit_exits_2(self, capsys, monkeypatch):
+        # a route deeper than the interpreter allows stops the command
+        def too_deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("albertson.graph_lab._route", too_deep)
+        code, _, err = invoke(capsys, "families", "--kind", "Delta", "--r", "4")
+        assert code == 2
+        assert "error: subdivision search exceeds the recursion limit" in err
+
 
 class TestCheckList:
     def test_mixed_list(self, capsys, tmp_path):
@@ -261,6 +271,23 @@ class TestCheckList:
         assert code == 1
         assert "1: budget exceeded" in out
 
+    def test_recursion_limit_reported_per_line(self, capsys, tmp_path):
+        # a cycle longer than the recursion limit, which is lowered first so
+        # that the graph6 round trip of the cycle stays fast
+        from albertson import cycle_graph, serialize_graph6
+        default, limit = sys.getrecursionlimit(), 400
+        path = tmp_path / "long.g6"
+        path.write_text(serialize_graph6(cycle_graph(limit + 1)) + "\n" + "Dhc\n")
+        sys.setrecursionlimit(limit)
+        try:
+            code, out, _ = invoke(capsys, "check-list", "--file", str(path), "--r", "3",
+                                  "--budget", f"coloring={limit + 1},subdivision={limit + 1}")
+        finally:
+            sys.setrecursionlimit(default)
+        assert code == 1
+        assert f"1: budget exceeded: coloring search exceeds the recursion limit {limit}" in out
+        assert "2: n=5 m=5 chi=3 critical(3)=yes topological K3=yes" in out
+
     def test_budget_flag_raises_cap(self, capsys, tmp_path):
         from albertson import Graph, serialize_graph6
         path = tmp_path / "big.g6"
@@ -291,7 +318,7 @@ class TestUsage:
         assert invoke(capsys, "verify")[0] == 2
 
     @pytest.mark.parametrize("budget", ["colouring=3", "coloring=-5", "coloring=50,depth=2",
-                                        "coloring", "coloring=lots"])
+                                        "coloring", "coloring=lots", "coloring=50,coloring=10"])
     def test_bad_budget(self, capsys, budget):
         code, out, err = invoke(capsys, "families", "--kind", "Delta", "--r", "4",
                                 "--budget", budget)

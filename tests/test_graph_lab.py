@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -351,6 +352,9 @@ _CERTIFIED = {
     **{f"M{k}": ([_mycielski_k(k)], k) for k in (4, 5)},
     **{f"Catlin{k}": ([build_family(FamilySpec(FamilyKind.CATLIN, sizes=(k,)))], -(-5 * k // 2))
        for k in (3, 5, 7)},
+    # alpha >= 3, so colored by search rather than by a matching
+    "C7": ([cycle_graph(7)], 3),
+    "W7": ([join(complete_graph(1), cycle_graph(7))], 4),
 }
 
 
@@ -437,8 +441,8 @@ class TestCriticality:
 
     @pytest.mark.parametrize("name", list(_CERTIFIED))
     def test_edge_colorings_certify_each_edge_once(self, name):
-        # one (r-1)-coloring of G-e per edge e, whether it came from a search,
-        # a matching of the complement of G/e, or a recoloring move
+        # one (r-1)-coloring of G-e per edge e, whether it came from the
+        # contraction G/e (by a search or a matching) or a recoloring move
         rng = random.Random(name)
         graphs, r = _CERTIFIED[name]
         for g in graphs:
@@ -768,13 +772,26 @@ class TestBudgets:
         with pytest.raises(ValueError):
             chromatic_number(Graph(5, []))
 
-    @pytest.mark.parametrize("spec", ["colouring=3", "coloring=-5", "coloring=3,depth=2"])
+    @pytest.mark.parametrize("spec", ["colouring=3", "coloring=-5", "coloring=3,depth=2",
+                                      "coloring=50,coloring=10"])
     def test_env_var_rejects_unknown_key_and_negative(self, monkeypatch, spec):
         monkeypatch.setenv("ALBERTSON_BUDGET", spec)
         with pytest.raises(ValueError, match="ALBERTSON_BUDGET"):
             chromatic_number(Graph(5, []))
         with pytest.raises(ValueError, match="ALBERTSON_BUDGET"):
             contains_topological_clique(Graph(5, []), 3)
+
+    @pytest.mark.parametrize("search", [
+        lambda g: chromatic_number(g, max_n=g.vertex_count),
+        lambda g: is_critical(g, 3, max_n=g.vertex_count),
+        lambda g: find_topological_clique(g, 3, max_n=g.vertex_count),
+    ], ids=["chromatic_number", "is_critical", "find_topological_clique"])
+    def test_search_deeper_than_recursion_limit(self, search):
+        # DSATUR colors a cycle one forced vertex per level, and the TK3
+        # search routes its long path one vertex per level
+        limit = sys.getrecursionlimit()
+        with pytest.raises(BudgetExceededError, match=f"recursion limit {limit}"):
+            search(cycle_graph(limit + 1))
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("ALBERTSON_BUDGET", "coloring=10")
