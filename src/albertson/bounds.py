@@ -110,7 +110,8 @@ def min_edges(params: CriticalParams) -> EdgeBound:
     """
     r, n = params.r, params.n
     if n < r + 2:
-        raise ValueError(f"min_edges needs n >= r+2, got n={n}, r={r}")
+        raise ValueError(f"min_edges needs n >= r+2 (no r-critical graphs other than K_r "
+                         f"exist below), got n={n}, r={r}")
     best = ks_edges(params)
     try:
         gallai = gallai_edges(params)

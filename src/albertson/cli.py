@@ -85,11 +85,8 @@ def _cmd_edges(args) -> int:
     from .bounds import (CriticalParams, dirac_edges, gallai_edges, join_refined_edges,
                          ks_edges, min_edges)
 
-    if args.n < args.r + 2:
-        print(f"error: edge bounds need n >= r+2 (no r-critical graphs other "
-              f"than K_r exist below), got r={args.r}, n={args.n}", file=sys.stderr)
-        return 2
     params = CriticalParams(r=args.r, n=args.n)
+    best = min_edges(params)  # rejects n < r+2 before anything is printed
     print(f"r = {args.r}, n = {args.n}")
     for name, rule in (("Dirac", dirac_edges), ("Gallai", gallai_edges), ("KS", ks_edges)):
         try:
@@ -97,7 +94,6 @@ def _cmd_edges(args) -> int:
             print(f"{name}: m >= {eb.m_min} (excess {eb.excess})")
         except InapplicableRuleError as exc:
             print(f"{name}: inapplicable ({exc})")
-    best = min_edges(params)
     print(f"best: m >= {best.m_min} via {best.rule.value} (excess {best.excess})")
     if args.n == 2 * args.r - 2:
         refined = join_refined_edges(args.r)

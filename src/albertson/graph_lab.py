@@ -62,12 +62,10 @@ exchanging externally published graph lists.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .choices import FamilyKind
 from .errors import BudgetExceededError, Graph6Error, InapplicableRuleError
@@ -173,9 +171,9 @@ class Graph:
         return Graph(self.vertex_count, self.edges - {(u, v) if u < v else (v, u)})
 
     def complement(self) -> "Graph":
-        n = self.vertex_count
-        return Graph(n, ((u, v) for u, v in itertools.combinations(range(n), 2)
-                         if not self.has_edge(u, v)))
+        comp = _complement_masks(self.masks)
+        return Graph(self.vertex_count, ((u, v) for u, mask in enumerate(comp)
+                                         for v in _bits(mask) if u < v))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
@@ -350,11 +348,11 @@ def _k_coloring(adj: Sequence[int], k: int, cliques: list[int]) -> list[int] | N
     """A k-coloring (color of each vertex, 0..k-1) of the graph with
     adjacency bitmasks adj, or None if it has none.
 
-    cliques must be cliques of this graph, largest first.  The largest is
-    precolored 0..q-1; then DSATUR backtracking (Brelaz 1979) picks the
-    uncolored vertex with the fewest colors left, ties to higher degree,
-    then lower label, and tries at most one fresh color per step.  Each
-    vertex keeps a bitmask of the colors still open to it.  Forward checking:
+    cliques must be cliques of this graph, largest first, and at least one.
+    The largest is precolored 0..q-1; then DSATUR backtracking (Brelaz 1979)
+    picks the uncolored vertex with the fewest colors left, ties to higher
+    degree, then lower label, and tries at most one fresh color per step.
+    Each vertex keeps a bitmask of the colors still open to it.  Forward checking:
     coloring a vertex removes the color from its uncolored neighbors, and
     the branch fails as soon as one has none left.  Hall prune: the uncolored
     members of a clique need pairwise distinct colors, so the branch also
@@ -365,7 +363,7 @@ def _k_coloring(adj: Sequence[int], k: int, cliques: list[int]) -> list[int] | N
     is maximal.
     """
     n = len(adj)
-    if cliques and cliques[0].bit_count() > k:
+    if cliques[0].bit_count() > k:
         return None
     degree = [a.bit_count() for a in adj]
 
@@ -405,7 +403,7 @@ def _k_coloring(adj: Sequence[int], k: int, cliques: list[int]) -> list[int] | N
 
     colors = [(1 << k) - 1] * n
     uncolored = (1 << n) - 1
-    root = cliques[0] if cliques else 0
+    root = cliques[0]
     for c, v in enumerate(_bits(root)):
         uncolored ^= 1 << v
         if not assign(colors, uncolored, v, c):
@@ -447,7 +445,7 @@ def chromatic_number(g: Graph, max_n: int | None = None) -> int:
     if not _has_triangle(comp):
         return max(_classes(_max_matching(comp)), default=-1) + 1
     cliques = _cliques(adj)
-    k = cliques[0].bit_count() if cliques else 0
+    k = cliques[0].bit_count()
     while _k_coloring(adj, k, cliques) is None:
         k += 1
     return k
@@ -551,7 +549,7 @@ def gallai_simplicial_check(g: Graph, r: int) -> bool:
     if 3 * n >= 5 * r:
         raise InapplicableRuleError(
             f"simplicial-count theorem needs n < (5/3)r, got n={n}, r={r}")
-    need = math.ceil(Fraction(3, 2) * (Fraction(5, 3) * r - n))
+    need = -(-(5 * r - 3 * n) // 2)  # ceil((3/2)((5/3)r - n))
     return len(simplicial_vertices(g)) >= need
 
 
@@ -854,6 +852,12 @@ def gallai_equality_check(r: int, p: int) -> bool:
 
 
 _G6_PREFIX = ">>graph6<<"
+_G6_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bits as compress selectors, no int() per bit
+
+
+def _g6_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """The vertex pairs in graph6 bit order: columns v = 1..n-1, rows u < v."""
+    return ((u, v) for v in range(1, n) for u in range(v))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -875,7 +879,6 @@ def parse_graph6(text: str) -> Graph:
                               offset=base + i)
         return c - 63
 
-    pos = 0
     head = value(0)
     if head < 63:
         n = head
@@ -898,19 +901,10 @@ def parse_graph6(text: str) -> Graph:
     if len(text) - pos > nchars:
         raise Graph6Error("trailing data after adjacency bytes",
                           offset=base + pos + nchars)
-    bits = 0  # the adjacency bytes as one integer, 6 bits each, first byte highest
-    for i in range(pos, len(text)):
-        bits = bits << 6 | value(i)
-    pad = nchars * 6 - nbits  # bits up to the byte boundary, all zero
-    if bits & ((1 << pad) - 1):
+    bits = "".join(format(value(i), "06b") for i in range(pos, len(text)))
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bit", offset=base + len(text) - 1)
-    edges = []
-    end = nchars * 6  # bit position just past column v, counted from the lowest
-    for v in range(1, n):  # column v holds (0, v) .. (v-1, v), (0, v) highest
-        end -= v
-        column = bits >> end & ((1 << v) - 1)
-        edges.extend((v - 1 - b, v) for b in _bits(column))
-    return Graph(n, edges)
+    return Graph(n, itertools.compress(_g6_pairs(n), bits.encode().translate(_G6_FLAGS)))
 
 
 def serialize_graph6(g: Graph) -> str:
@@ -922,12 +916,7 @@ def serialize_graph6(g: Graph) -> str:
         out = ["~", chr((n >> 12) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
     else:
         raise ValueError(f"n={n} too large for this graph6 writer")
-    bits = 0  # the same integer parse_graph6 decodes
-    for v in range(1, n):
-        for u in range(v):
-            bits = bits << 1 | g.masks[v] >> u & 1
-    nbits = n * (n - 1) // 2
-    nchars = -(-nbits // 6)
-    bits <<= nchars * 6 - nbits
-    out.extend(chr((bits >> 6 * i & 63) + 63) for i in reversed(range(nchars)))
+    bits = "".join("01"[g.masks[v] >> u & 1] for u, v in _g6_pairs(n))
+    bits += "0" * (-len(bits) % 6)
+    out.extend(chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6))
     return "".join(out)

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import subprocess
 import sys
 
 import networkx as nx
@@ -237,6 +238,7 @@ class TestGraphType:
     @given(st.integers(0, 8), st.integers(0, 10**6))
     def test_complement_involution(self, n, seed):
         g = _random_graph(random.Random(seed), n)
+        assert g.complement().edges == set(itertools.combinations(range(n), 2)) - g.edges
         assert g.complement().complement() == g
 
     def test_degrees(self):
@@ -676,6 +678,17 @@ class TestGallaiEquality:
             gallai_equality_check(5, 5)
 
 
+LARGE_ROUND_TRIPS = """
+import itertools, random
+from albertson import Graph, cycle_graph, parse_graph6, serialize_graph6
+rng = random.Random(0x300)
+for g in (cycle_graph(2000),
+          Graph(300, [e for e in itertools.combinations(range(300), 2) if rng.random() < 0.5])):
+    assert parse_graph6(serialize_graph6(g)) == g
+    print(g.vertex_count)
+"""
+
+
 class TestGraph6:
     def test_single_edge(self):
         assert serialize_graph6(complete_graph(2)) == "A_"
@@ -693,14 +706,23 @@ class TestGraph6:
 
     def test_matches_networkx_bytes(self):
         rng = random.Random(0x99)
-        for _ in range(100):
-            g = _random_graph(rng, rng.randint(1, 40), rng.random())
+        # 100 graphs with n <= 40, then n = 63..130, which take the "~" header
+        for n in itertools.chain((rng.randint(1, 40) for _ in range(100)), range(63, 131)):
+            g = _random_graph(rng, n, rng.random())
             h = nx.Graph()
             h.add_nodes_from(range(g.vertex_count))
             h.add_edges_from(tuple(e) for e in g.edges)
             expected = nx.to_graph6_bytes(h, header=False).decode().strip()
             assert serialize_graph6(g) == expected
             assert parse_graph6(expected) == g
+
+    def test_large_round_trips_are_fast(self, child_env):
+        # a codec quadratic in the adjacency bits needs far more than 30 s for the
+        # 2000-cycle; a child process lets the timeout stop it
+        proc = subprocess.run([sys.executable, "-c", LARGE_ROUND_TRIPS], env=child_env,
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2000", "300"]
 
     def test_extended_header_round_trip(self):
         g = Graph(63, [(0, 62), (30, 31)])
