@@ -322,7 +322,10 @@ def efamily_splits(r: int) -> tuple[FamilySpec, ...]:
 
 
 def _bits(mask: int):
-    """Indexes of the set bits of mask, lowest first."""
+    """Indexes of the set bits of mask, lowest first, for the cold paths and
+    the subdivision search.  The coloring and matching kernels walk set bits
+    inline instead (low = rest & -rest, lowest first), since a generator
+    resume costs more than the bit test itself."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -337,7 +340,14 @@ def _cliques(adj: Sequence[int]) -> list[int]:
     for seed, cand in enumerate(adj):
         clique = 1 << seed
         while cand:
-            v = max(_bits(cand), key=lambda u: ((adj[u] & cand).bit_count(), -u))
+            best, v, rest = -1, 0, cand
+            while rest:  # ascending, so the strict > keeps the lowest label
+                low = rest & -rest
+                u = low.bit_length() - 1
+                count = (adj[u] & cand).bit_count()
+                if count > best:
+                    best, v = count, u
+                rest ^= low
             clique |= 1 << v
             cand &= adj[v]
         found.add(clique)
@@ -372,28 +382,48 @@ def _k_coloring(adj: Sequence[int], k: int, cliques: list[int]) -> list[int] | N
         if a domain wipes out or a clique fails the Hall count."""
         bit = colors[v] = 1 << c
         shrunk = 0
-        for u in _bits(adj[v] & uncolored):
+        rest = adj[v] & uncolored
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
             if colors[u] & bit:
                 colors[u] ^= bit
                 if not colors[u]:
                     return False
-                shrunk |= 1 << u
-        for clique in cliques:
-            if clique & shrunk:
-                left = clique & uncolored
-                union = 0
-                for w in _bits(left):
-                    union |= colors[w]
-                if union.bit_count() < left.bit_count():
-                    return False
+                shrunk |= low
+            rest ^= low
+        if shrunk:
+            for clique in cliques:
+                if clique & shrunk:
+                    left = rest = clique & uncolored
+                    union = 0
+                    while rest:
+                        low = rest & -rest
+                        union |= colors[low.bit_length() - 1]
+                        rest ^= low
+                    if union.bit_count() < left.bit_count():
+                        return False
         return True
 
     def solve(colors: list[int], uncolored: int, used: int) -> list[int] | None:
         if not uncolored:
             return [bit.bit_length() - 1 for bit in colors]
-        v = min(_bits(uncolored), key=lambda u: (colors[u].bit_count(), -degree[u], u))
+        # (colors left, -degree) as one integer below (k + 1) * n, as
+        # degree < n; ascending, so the strict < keeps the lowest label
+        best, v, rest = (k + 1) * n, 0, uncolored
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            key = colors[u].bit_count() * n - degree[u]
+            if key < best:
+                best, v = key, u
+            rest ^= low
         uncolored ^= 1 << v
-        for c in _bits(colors[v] & ((2 << used) - 1)):
+        rest = colors[v] & ((2 << used) - 1)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
             child = colors[:]
             if assign(child, uncolored, v, c):
                 found = solve(child, uncolored, max(used, c + 1))
@@ -417,7 +447,14 @@ def _complement_masks(adj: Sequence[int]) -> list[int]:
 
 
 def _has_triangle(adj: Sequence[int]) -> bool:
-    return any(adj[u] & adj[v] for u in range(len(adj)) for v in _bits(adj[u]))
+    for mask in adj:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if mask & adj[low.bit_length() - 1]:
+                return True
+            rest ^= low
+    return False
 
 
 def _classes(mate: list[int]) -> list[int]:
@@ -487,13 +524,13 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
         if colors is None:
             return
         open_edges.discard(edge)
-        stack = [(edge, colors)]
+        classes = [0] * k
+        for x, c in enumerate(colors):
+            classes[c] |= 1 << x
+        stack = [(edge, colors, classes)]
         while stack:
-            edge, colors = stack.pop()
+            edge, colors, classes = stack.pop()
             yield edge, colors
-            classes = [0] * k
-            for x, c in enumerate(colors):
-                classes[c] |= 1 << x
             for z in edge:
                 for beta, members in enumerate(classes):
                     # an end z with exactly one neighbor x of color beta
@@ -508,7 +545,10 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
                             open_edges.discard(moved)
                             recolored = colors[:]
                             recolored[z] = beta
-                            stack.append((moved, recolored))
+                            reclassed = classes[:]
+                            reclassed[colors[z]] &= ~(1 << z)
+                            reclassed[beta] |= 1 << z
+                            stack.append((moved, recolored, reclassed))
 
 
 def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
@@ -627,7 +667,11 @@ def _max_matching(adj: Sequence[int]) -> list[int]:
             return bases
 
         for v in queue:
-            for to in _bits(adj[v]):
+            rest = adj[v]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                to = low.bit_length() - 1
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or match[to] != -1 and parent[match[to]] != -1:

@@ -38,7 +38,16 @@ from albertson import (
     serialize_graph6,
     simplicial_vertices,
 )
-from albertson.graph_lab import _edge_colorings
+from albertson.graph_lab import (
+    _classes,
+    _cliques,
+    _complement_masks,
+    _edge_colorings,
+    _has_triangle,
+    _k_coloring,
+    _max_matching,
+    _run_search,
+)
 
 
 def _random_graph(rng, n, density=0.5):
@@ -818,3 +827,255 @@ class TestBudgets:
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("ALBERTSON_BUDGET", "coloring=10")
         assert chromatic_number(Graph(11, []), max_n=12) == 1
+
+
+# Reference kernels: graph_lab's _cliques, _k_coloring, _has_triangle,
+# _max_matching and _edge_colorings as they were before they walked set bits
+# inline, copied statement for statement; only docstrings, comments and type
+# hints are left out and a _ref prefix marks the names they define and call.
+# The fast kernels must return, and yield, exactly what these do.
+
+
+def _ref_bits(mask: int):
+    """Indexes of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _ref_cliques(adj):
+    found = set()
+    for seed, cand in enumerate(adj):
+        clique = 1 << seed
+        while cand:
+            v = max(_ref_bits(cand), key=lambda u: ((adj[u] & cand).bit_count(), -u))
+            clique |= 1 << v
+            cand &= adj[v]
+        found.add(clique)
+    return sorted(found, key=lambda c: (-c.bit_count(), c))
+
+
+def _ref_k_coloring(adj, k, cliques):
+    n = len(adj)
+    if cliques[0].bit_count() > k:
+        return None
+    degree = [a.bit_count() for a in adj]
+
+    def assign(colors, uncolored, v, c):
+        bit = colors[v] = 1 << c
+        shrunk = 0
+        for u in _ref_bits(adj[v] & uncolored):
+            if colors[u] & bit:
+                colors[u] ^= bit
+                if not colors[u]:
+                    return False
+                shrunk |= 1 << u
+        for clique in cliques:
+            if clique & shrunk:
+                left = clique & uncolored
+                union = 0
+                for w in _ref_bits(left):
+                    union |= colors[w]
+                if union.bit_count() < left.bit_count():
+                    return False
+        return True
+
+    def solve(colors, uncolored, used):
+        if not uncolored:
+            return [bit.bit_length() - 1 for bit in colors]
+        v = min(_ref_bits(uncolored), key=lambda u: (colors[u].bit_count(), -degree[u], u))
+        uncolored ^= 1 << v
+        for c in _ref_bits(colors[v] & ((2 << used) - 1)):
+            child = colors[:]
+            if assign(child, uncolored, v, c):
+                found = solve(child, uncolored, max(used, c + 1))
+                if found is not None:
+                    return found
+        return None
+
+    colors = [(1 << k) - 1] * n
+    uncolored = (1 << n) - 1
+    root = cliques[0]
+    for c, v in enumerate(_ref_bits(root)):
+        uncolored ^= 1 << v
+        if not assign(colors, uncolored, v, c):
+            return None
+    return _run_search("coloring", solve, colors, uncolored, root.bit_count())
+
+
+def _ref_has_triangle(adj):
+    return any(adj[u] & adj[v] for u in range(len(adj)) for v in _ref_bits(adj[u]))
+
+
+def _ref_max_matching(adj):
+    n = len(adj)
+    match = [-1] * n
+
+    def augment(root):
+        base = list(range(n))
+        parent = [-1] * n
+        outer = 1 << root
+        queue = [root]
+
+        def lowest_common_base(a, b):
+            path = 0
+            while True:
+                a = base[a]
+                path |= 1 << a
+                if match[a] == -1:
+                    break
+                a = parent[match[a]]
+            while not path >> base[b] & 1:
+                b = parent[match[base[b]]]
+            return base[b]
+
+        def mark(v, top, child):
+            bases = 0
+            while base[v] != top:
+                bases |= 1 << base[v] | 1 << base[match[v]]
+                parent[v] = child
+                child = match[v]
+                v = parent[child]
+            return bases
+
+        for v in queue:
+            for to in _ref_bits(adj[v]):
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or match[to] != -1 and parent[match[to]] != -1:
+                    top = lowest_common_base(v, to)
+                    blossom = mark(v, top, to) | mark(to, top, v)
+                    for w in range(n):
+                        if blossom >> base[w] & 1:
+                            base[w] = top
+                            if not outer >> w & 1:
+                                outer |= 1 << w
+                                queue.append(w)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        while to != -1:
+                            mate = parent[to]
+                            after = match[mate]
+                            match[to], match[mate] = mate, to
+                            to = after
+                        return True
+                    outer |= 1 << match[to]
+                    queue.append(match[to])
+        return False
+
+    for v in range(n):
+        if match[v] == -1:
+            augment(v)
+    return match
+
+
+def _ref_edge_colorings(g, r):
+    adj, k = g.masks, r - 1
+    if _ref_has_triangle(_complement_masks(adj)):
+        def oracle(masks):
+            return _ref_k_coloring(masks, k, _ref_cliques(masks))
+    else:
+        def oracle(masks):
+            colors = _classes(_ref_max_matching(_complement_masks(masks)))
+            return colors if max(colors) < k else None
+    if oracle(adj) is not None:
+        return
+
+    def color(u, v):
+        uv, low = 1 << u | 1 << v, (1 << v) - 1
+        merged = [mask & ~uv | (mask & uv != 0) << u for mask in adj]
+        merged[u] = (adj[u] | adj[v]) & ~uv
+        colors = oracle([mask & low | mask >> 1 & ~low
+                         for x, mask in enumerate(merged) if x != v])
+        if colors is not None:
+            colors.insert(v, colors[u])
+        return colors
+
+    open_edges = set(g.edges)
+    for edge in sorted(open_edges):
+        if edge not in open_edges:
+            continue
+        colors = color(*edge)
+        if colors is None:
+            return
+        open_edges.discard(edge)
+        stack = [(edge, colors)]
+        while stack:
+            edge, colors = stack.pop()
+            yield edge, colors
+            classes = [0] * k
+            for x, c in enumerate(colors):
+                classes[c] |= 1 << x
+            for z in edge:
+                for beta, members in enumerate(classes):
+                    hit = adj[z] & members
+                    if hit & (hit - 1) == 0:
+                        x = hit.bit_length() - 1
+                        moved = (z, x) if z < x else (x, z)
+                        if moved in open_edges:
+                            open_edges.discard(moved)
+                            recolored = colors[:]
+                            recolored[z] = beta
+                            stack.append((moved, recolored))
+
+
+def _coloring_and_nodes(k_coloring, adj, k, cliques):
+    """k_coloring's answer and the number of search nodes (calls of its
+    nested solve) it took, counted by a call-only trace."""
+    nodes = 0
+
+    def trace(frame, event, arg):
+        nonlocal nodes
+        nodes += frame.f_code.co_name == "solve"
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        colors = k_coloring(adj, k, cliques)
+    finally:
+        sys.settrace(previous)
+    return colors, nodes
+
+
+def _assert_kernels_match(g, ks, rs):
+    adj = g.masks
+    comp = _complement_masks(adj)
+    cliques = _ref_cliques(adj)
+    assert _cliques(adj) == cliques, adj
+    for masks in (adj, comp):
+        assert _has_triangle(masks) == _ref_has_triangle(masks), masks
+        assert _max_matching(masks) == _ref_max_matching(masks), masks
+    for k in ks:
+        assert (_coloring_and_nodes(_k_coloring, adj, k, cliques)
+                == _coloring_and_nodes(_ref_k_coloring, adj, k, cliques)), (adj, k)
+    for r in rs:
+        # copies, so that a later change to a yielded list cannot hide here
+        fast = [(e, colors[:]) for e, colors in _edge_colorings(g, r)]
+        assert fast == [(e, colors[:]) for e, colors in _ref_edge_colorings(g, r)], (adj, r)
+
+
+class TestKernelIdentity:
+    """The inline bit walks change no answer and no search: same cliques,
+    colorings and node counts, mates, triangle answers, and the same
+    (edge, coloring) sequence from _edge_colorings."""
+
+    def test_random_graphs(self):
+        rng = random.Random(0x1D)
+        alpha_two = 0
+        for _ in range(1000):
+            g = _random_graph(rng, rng.randint(1, 13), rng.random())
+            alpha_two += not _has_triangle(_complement_masks(g.masks))
+            _assert_kernels_match(g, range(1, 7), range(1, 7))
+        assert 100 < alpha_two < 900
+
+    def test_relabelled_families(self):
+        rng = random.Random(0x1E)
+        cases = [(build_family(spec), r) for r in range(3, 10)
+                 for spec in delta_splits(r) + efamily_splits(r)]
+        cases += [(build_family(FamilySpec(FamilyKind.CATLIN, sizes=(k,))), -(-5 * k // 2))
+                  for k in (2, 3, 4)]
+        cases += [(_mycielski_k(k), k) for k in (4, 5)]
+        for g, r in cases:
+            _assert_kernels_match(_relabel(g, rng), (r - 1, r), (r, r + 1))
