@@ -21,12 +21,14 @@ Algorithms are exact and budget-guarded: chromatic number and criticality
 (below), simplicial counts in the degree-(n-1) sense, complement structure
 (components, triangles, and a maximum matching by the in-repo Edmonds blossom
 algorithm), and subdivision containment (topological K_t) by a branch-vertex
-recursion with a private-vertex count, then depth-first routing of chordless
-paths on bitmasks with reachability forward checks.  Budgets default to
-n <= 40 for coloring and n <= 20 for subdivision search and can be raised per
-call (max_n) or via the ALBERTSON_BUDGET environment variable, e.g.
-ALBERTSON_BUDGET="coloring=50,subdivision=24"; unknown or repeated keys and
-negative values raise ValueError.  Exceeding a budget, or the interpreter's
+recursion with a private-vertex count, which cuts a partial branch set as
+soon as one of its pairs has no path around the set, then depth-first
+routing of chordless paths on bitmasks with reachability forward checks.
+Budgets default to n <= 40 for coloring and n <= 20 for subdivision search
+and can be raised per call (max_n) or via the ALBERTSON_BUDGET environment
+variable, e.g. ALBERTSON_BUDGET="coloring=50,subdivision=24"; unknown or
+repeated keys and negative values, a negative max_n included, raise
+ValueError.  Exceeding a budget, or the interpreter's
 recursion limit in a search, raises BudgetExceededError, never approximates.
 
 Chromatic number: when the complement is triangle-free, i.e. alpha(g) <= 2,
@@ -103,6 +105,8 @@ def _check_budget(kind: str, n: int, max_n: int | None) -> None:
     given, else the ALBERTSON_BUDGET entry for kind, else the default."""
     limit, search = _BUDGETS[kind]
     if max_n is not None:
+        if max_n < 0:
+            raise ValueError(f"budget must be >= 0, got max_n={max_n}")
         limit = max_n
     elif spec := os.environ.get("ALBERTSON_BUDGET", ""):
         try:
@@ -322,10 +326,11 @@ def efamily_splits(r: int) -> tuple[FamilySpec, ...]:
 
 
 def _bits(mask: int):
-    """Indexes of the set bits of mask, lowest first, for the cold paths and
-    the subdivision search.  The coloring and matching kernels walk set bits
-    inline instead (low = rest & -rest, lowest first), since a generator
-    resume costs more than the bit test itself."""
+    """Indexes of the set bits of mask, lowest first, for the cold paths
+    only: Graph.edges, adjacency and complement, complement_analysis and the
+    root precoloring in _k_coloring.  The coloring, matching and subdivision
+    searches walk set bits inline instead (low = rest & -rest, lowest
+    first), since a generator resume costs more than the bit test itself."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -726,27 +731,37 @@ class SubdivisionWitness:
         return "\n".join(lines)
 
     def verify(self, g: Graph) -> bool:
-        """Re-check every claim of the witness against g."""
+        """Re-check every claim of the witness against g.  Each path vertex
+        passes the edge test from its predecessor, which rejects a vertex
+        out of range, before it becomes a bit of a mask."""
         branch = self.branch_vertices
+        n, masks = g.vertex_count, g.masks
         if len(branch) != self.t or len(set(branch)) != self.t:
             return False
-        if any(not 0 <= v < g.vertex_count for v in branch):
+        if any(not 0 <= v < n for v in branch):
             return False
         expected = {tuple(sorted(pair)) for pair in itertools.combinations(branch, 2)}
         if {pair for pair, _ in self.paths} != expected or len(self.paths) != len(expected):
             return False
-        internals_seen: set[int] = set()
+        taken = 0  # the branch set and the internal vertices of earlier paths
+        for v in branch:
+            taken |= 1 << v
         for (u, v), path in self.paths:
             if len(path) < 2 or path[0] != u or path[-1] != v:
                 return False
-            if len(set(path)) != len(path):
+            prev, on_path = u, 1 << u
+            for w in path[1:]:
+                if w < 0 or not masks[prev] >> w & 1:
+                    return False
+                bit = 1 << w
+                if on_path & bit:
+                    return False
+                on_path |= bit
+                prev = w
+            internal = on_path & ~(1 << u | 1 << v)
+            if internal & taken:
                 return False
-            if any(not g.has_edge(a, b) for a, b in zip(path, path[1:])):
-                return False
-            internal = set(path[1:-1])
-            if internal & set(branch) or internal & internals_seen:
-                return False
-            internals_seen |= internal
+            taken |= internal
         return True
 
 
@@ -758,9 +773,11 @@ def _reaches(adj: Sequence[int], start: int, allowed: int, goal: int) -> bool:
     while frontier:
         if frontier & goal:
             return True
-        grown = 0
-        for w in _bits(frontier):
-            grown |= adj[w]
+        grown, rest = 0, frontier
+        while rest:
+            low = rest & -rest
+            grown |= adj[low.bit_length() - 1]
+            rest ^= low
         frontier = grown & allowed & ~seen
         seen |= frontier
     return False
@@ -771,8 +788,9 @@ def _route(adj: Sequence[int], pairs: list[tuple[int, int]],
     """First system of internally disjoint chordless paths joining the
     pairs, none of them adjacent, routed in order with internal vertices
     from the bitmask free: a dict pair -> path, or None if there is none."""
-    if not all(_reaches(adj, a, free, adj[b]) for a, b in pairs):
-        return None
+    for a, b in pairs:
+        if not _reaches(adj, a, free, adj[b]):
+            return None
     if not pairs:
         return {}
     (u, v), rest = pairs[0], pairs[1:]
@@ -787,9 +805,13 @@ def _route(adj: Sequence[int], pairs: list[tuple[int, int]],
                 system[(u, v)] = (*path, v)
             return system
         after = banned | adj[cur]
-        for w in _bits(adj[cur] & free & ~banned):
-            left = free ^ 1 << w
-            if goal >> w & 1 or _reaches(adj, w, left & ~after, goal):
+        steps = adj[cur] & free & ~banned
+        while steps:
+            low = steps & -steps
+            steps ^= low
+            w = low.bit_length() - 1
+            left = free ^ low
+            if goal & low or _reaches(adj, w, left & ~after, goal):
                 path.append(w)
                 system = extend(w, after, left)
                 if system is not None:
@@ -807,7 +829,7 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
     order of degree (highest first, lower label on ties).  Adjacent branch
     pairs take their direct edge; this never loses, since an edge between
     two branch vertices can serve no other pair.  Every other pair is open
-    and needs a path with internal vertices off the branch set.  Two prunes
+    and needs a path with internal vertices off the branch set.  Three prunes
     cut a partial branch set, and with it every set that extends it:
 
       (a) the open pairs need pairwise distinct private internal vertices,
@@ -817,9 +839,16 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
           each of its open paths.  With j branch neighbors that is t-1-j
           open pairs against deg(x)-j such neighbors, i.e. deg(x) >= t-1:
           the filter that makes x a candidate in the first place.
+      (c) when v joins the set, each new open pair uv must be joined by a
+          path through vertices off the set, which a breadth-first search
+          over bitmasks checks.  The vertices off the set only shrink as
+          it grows, so a pair cut off now stays cut off in every full set
+          that extends this one, and would fail the reachability check
+          below; the cut drops no set that routing could complete, and the
+          first witness found stays the same.
 
-    On a full branch set each open pair must be joined through the free
-    vertices, which a breadth-first search over bitmasks checks.  Then the
+    On a full branch set each open pair is checked once more against the
+    free vertices, which the set has shrunk since (c) checked it.  Then the
     open pairs are routed one after another by depth-first search:
 
       - only chordless paths are tried: a new vertex touches no earlier
@@ -847,7 +876,11 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
 
     def choose(start: int, branch: int, size: int, open_count: int) -> SubdivisionWitness | None:
         if size == t:
-            members = list(_bits(branch))
+            members, rest = [], branch
+            while rest:
+                low = rest & -rest
+                members.append(low.bit_length() - 1)
+                rest ^= low
             pairs = list(itertools.combinations(members, 2))
             open_pairs = [(a, b) for a, b in pairs if not adj[a] >> b & 1]
             system = _route(adj, open_pairs, free_all & ~branch)
@@ -858,8 +891,18 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
         for i in range(start, len(candidates) - (t - size) + 1):
             v = candidates[i]
             count = open_count + size - (adj[v] & branch).bit_count()
-            if count <= n - t:
-                witness = choose(i + 1, branch | 1 << v, size + 1, count)
+            if count > n - t:
+                continue
+            grown = branch | 1 << v
+            free = free_all & ~grown
+            rest = branch & ~adj[v]
+            while rest:
+                low = rest & -rest
+                if not _reaches(adj, v, free, adj[low.bit_length() - 1]):
+                    break
+                rest ^= low
+            else:
+                witness = choose(i + 1, grown, size + 1, count)
                 if witness is not None:
                     return witness
         return None

@@ -39,6 +39,7 @@ from albertson import (
     simplicial_vertices,
 )
 from albertson.graph_lab import (
+    _check_budget,
     _classes,
     _cliques,
     _complement_masks,
@@ -824,6 +825,18 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError, match=f"recursion limit {limit}"):
             search(cycle_graph(limit + 1))
 
+    @pytest.mark.parametrize("search", [
+        lambda g, max_n: chromatic_number(g, max_n=max_n),
+        lambda g, max_n: is_critical(g, 3, max_n=max_n),
+        lambda g, max_n: find_topological_clique(g, 3, max_n=max_n),
+    ], ids=["chromatic_number", "is_critical", "find_topological_clique"])
+    def test_negative_max_n_is_rejected(self, search):
+        # as negative --budget and ALBERTSON_BUDGET values are, and before
+        # the graph is compared with it
+        with pytest.raises(ValueError, match=r"^budget must be >= 0, got max_n=-1$"):
+            search(Graph(0), -1)
+        search(Graph(0), 0)
+
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("ALBERTSON_BUDGET", "coloring=10")
         assert chromatic_number(Graph(11, []), max_n=12) == 1
@@ -1079,3 +1092,217 @@ class TestKernelIdentity:
         cases += [(_mycielski_k(k), k) for k in (4, 5)]
         for g, r in cases:
             _assert_kernels_match(_relabel(g, rng), (r - 1, r), (r, r + 1))
+
+
+# Reference subdivision search: graph_lab's SubdivisionWitness.verify,
+# _reaches, _route and find_topological_clique as they were before the
+# search walked set bits inline and cut branch sets by reachability, copied
+# statement for statement in the same way as the kernels above.  The search
+# must find exactly the witness these find, in no more calls of choose, and
+# verify must accept exactly the witnesses the reference accepts.
+
+
+def _ref_verify(self, g):
+    branch = self.branch_vertices
+    if len(branch) != self.t or len(set(branch)) != self.t:
+        return False
+    if any(not 0 <= v < g.vertex_count for v in branch):
+        return False
+    expected = {tuple(sorted(pair)) for pair in itertools.combinations(branch, 2)}
+    if {pair for pair, _ in self.paths} != expected or len(self.paths) != len(expected):
+        return False
+    internals_seen = set()
+    for (u, v), path in self.paths:
+        if len(path) < 2 or path[0] != u or path[-1] != v:
+            return False
+        if len(set(path)) != len(path):
+            return False
+        if any(not g.has_edge(a, b) for a, b in zip(path, path[1:])):
+            return False
+        internal = set(path[1:-1])
+        if internal & set(branch) or internal & internals_seen:
+            return False
+        internals_seen |= internal
+    return True
+
+
+def _ref_reaches(adj, start, allowed, goal):
+    goal &= allowed
+    seen = frontier = adj[start] & allowed
+    while frontier:
+        if frontier & goal:
+            return True
+        grown = 0
+        for w in _ref_bits(frontier):
+            grown |= adj[w]
+        frontier = grown & allowed & ~seen
+        seen |= frontier
+    return False
+
+
+def _ref_route(adj, pairs, free):
+    if not all(_ref_reaches(adj, a, free, adj[b]) for a, b in pairs):
+        return None
+    if not pairs:
+        return {}
+    (u, v), rest = pairs[0], pairs[1:]
+    goal = adj[v]
+    path = [u]
+
+    def extend(cur, banned, free):
+        if goal >> cur & 1:
+            system = _ref_route(adj, rest, free)
+            if system is not None:
+                system[(u, v)] = (*path, v)
+            return system
+        after = banned | adj[cur]
+        for w in _ref_bits(adj[cur] & free & ~banned):
+            left = free ^ 1 << w
+            if goal >> w & 1 or _ref_reaches(adj, w, left & ~after, goal):
+                path.append(w)
+                system = extend(w, after, left)
+                if system is not None:
+                    return system
+                path.pop()
+        return None
+
+    return extend(u, 0, free)
+
+
+def _ref_find_topological_clique(g, t, max_n=None):
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    n = g.vertex_count
+    _check_budget("subdivision", n, max_n)
+    if t == 0:
+        return SubdivisionWitness(t=0, branch_vertices=(), paths=())
+    adj = g.masks
+    candidates = sorted((v for v in range(n) if adj[v].bit_count() >= t - 1),
+                        key=lambda v: (-adj[v].bit_count(), v))
+    free_all = (1 << n) - 1
+
+    def choose(start, branch, size, open_count):
+        if size == t:
+            members = list(_ref_bits(branch))
+            pairs = list(itertools.combinations(members, 2))
+            open_pairs = [(a, b) for a, b in pairs if not adj[a] >> b & 1]
+            system = _ref_route(adj, open_pairs, free_all & ~branch)
+            if system is None:
+                return None
+            return SubdivisionWitness(t=t, branch_vertices=tuple(members),
+                                      paths=tuple((pair, system.get(pair, pair)) for pair in pairs))
+        for i in range(start, len(candidates) - (t - size) + 1):
+            v = candidates[i]
+            count = open_count + size - (adj[v] & branch).bit_count()
+            if count <= n - t:
+                witness = choose(i + 1, branch | 1 << v, size + 1, count)
+                if witness is not None:
+                    return witness
+        return None
+
+    return _run_search("subdivision", choose, 0, 0, 0, 0)
+
+
+def _witness_and_nodes(find, g, t):
+    """find(g, t) and the number of search nodes (calls of its nested
+    choose) it took, counted by a call-only trace."""
+    nodes = 0
+
+    def trace(frame, event, arg):
+        nonlocal nodes
+        nodes += frame.f_code.co_name == "choose"
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        witness = find(g, t)
+    finally:
+        sys.settrace(previous)
+    return witness, nodes
+
+
+def _tamperings(w, g, rng):
+    """Seeded corruptions of witness w: a path vertex set to -1, to n or to
+    a random vertex, a path that walks its first edge back and forth, a pair
+    rerouted through an edge pair ux, xv of g with x internal to another
+    path, a path dropped, a path duplicated, and a branch vertex swapped for
+    a random vertex."""
+    n, paths = g.vertex_count, list(w.paths)
+
+    def with_path(i, path):
+        changed = paths[:]
+        changed[i] = (paths[i][0], path)
+        return dataclasses.replace(w, paths=tuple(changed))
+
+    if paths:
+        for bad in (-1, n, rng.randrange(n)):
+            i = rng.randrange(len(paths))
+            path = paths[i][1]
+            j = rng.randrange(len(path))
+            yield with_path(i, path[:j] + (bad,) + path[j + 1:])
+        i = rng.randrange(len(paths))
+        path = paths[i][1]
+        yield with_path(i, path[:2] + path[:2] + path[2:])
+        shared = [(i, x) for i, ((u, v), _) in enumerate(paths)
+                  for j, (_, other) in enumerate(paths) if j != i
+                  for x in other[1:-1] if g.has_edge(u, x) and g.has_edge(x, v)]
+        if shared:
+            i, x = rng.choice(shared)
+            u, v = paths[i][0]
+            yield with_path(i, (u, x, v))
+        i = rng.randrange(len(paths))
+        yield dataclasses.replace(w, paths=tuple(paths[:i] + paths[i + 1:]))
+        yield dataclasses.replace(w, paths=tuple(paths[:i + 1] + paths[i:]))
+    if w.branch_vertices:
+        branch = list(w.branch_vertices)
+        branch[rng.randrange(len(branch))] = rng.randrange(n)
+        yield dataclasses.replace(w, branch_vertices=tuple(branch))
+
+
+def _assert_search_matches(g, t, rng):
+    """Same witness as the reference in no more nodes, and verify agrees with
+    the reference on it and on its tamperings; returns (witness, nodes,
+    reference nodes, tamperings rejected)."""
+    witness, nodes = _witness_and_nodes(find_topological_clique, g, t)
+    expected, ref_nodes = _witness_and_nodes(_ref_find_topological_clique, g, t)
+    assert witness == expected, (g.masks, t)
+    assert nodes <= ref_nodes, (g.masks, t)
+    rejected = 0
+    if witness is not None:
+        assert witness.verify(g) and _ref_verify(witness, g), (g.masks, t)
+        for bad in _tamperings(witness, g, rng):
+            verdict = bad.verify(g)
+            assert verdict == _ref_verify(bad, g), (g.masks, t, bad)
+            rejected += not verdict
+    return witness, nodes, ref_nodes, rejected
+
+
+class TestSubdivisionIdentity:
+    """The inline bit walks, the bitmask witness check and the reachability
+    cut change no answer: the same first witness as the reference search,
+    never more search nodes, and the same verify verdict on every witness
+    and every tampering of it."""
+
+    def test_random_graphs(self):
+        rng = random.Random(0x1F17)
+        found = cut = rejected = 0
+        for _ in range(1000):
+            g = _random_graph(rng, rng.randint(1, 11), rng.random())
+            witness, nodes, ref_nodes, bad = _assert_search_matches(g, rng.randint(1, 6), rng)
+            found += witness is not None
+            cut += nodes < ref_nodes
+            rejected += bad
+        assert found > 300 and cut > 0 and rejected > 1000
+
+    def test_relabelled_families(self):
+        rng = random.Random(0x1F18)
+        catlin = lambda k: build_family(FamilySpec(FamilyKind.CATLIN, sizes=(k,)))
+        cases = [(build_family(spec), r) for r in range(4, 9)
+                 for spec in delta_splits(r) + efamily_splits(r)]
+        cases += [(catlin(2), 5), (catlin(3), 8), (_icosahedron(), 5), (_icosahedron(), 6),
+                  (_petersen(), 4), (_petersen(), 5)]
+        cut = 0
+        for g, t in cases:
+            _, nodes, ref_nodes, _ = _assert_search_matches(_relabel(g, rng), t, rng)
+            cut += nodes < ref_nodes
+        assert cut > 0
