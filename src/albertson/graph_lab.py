@@ -21,8 +21,8 @@ Algorithms are exact and budget-guarded: chromatic number and criticality
 (below), simplicial counts in the degree-(n-1) sense, complement structure
 (components, triangles, and a maximum matching by the in-repo Edmonds blossom
 algorithm), and subdivision containment (topological K_t) by a branch-vertex
-recursion with a private-vertex count, which cuts a partial branch set as
-soon as one of its pairs has no path around the set, then depth-first
+recursion with a private-vertex count, which charges two private vertices
+to a pair whose ends share no neighbor off the set, then depth-first
 routing of chordless paths on bitmasks with reachability forward checks.
 Budgets default to n <= 40 for coloring and n <= 20 for subdivision search
 and can be raised per call (max_n) or via the ALBERTSON_BUDGET environment
@@ -832,23 +832,27 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
     and needs a path with internal vertices off the branch set.  Three prunes
     cut a partial branch set, and with it every set that extends it:
 
-      (a) the open pairs need pairwise distinct private internal vertices,
-          so there are at most n - t of them.  Open pairs only accumulate
+      (a) each open pair needs a private internal vertex, distinct from
+          those of the other pairs, and a full set leaves only n - t
+          vertices; (c) charges some pairs two.  Open pairs only accumulate
           as the set grows.
       (b) a branch vertex x leaves by a different non-branch neighbor on
           each of its open paths.  With j branch neighbors that is t-1-j
           open pairs against deg(x)-j such neighbors, i.e. deg(x) >= t-1:
           the filter that makes x a candidate in the first place.
-      (c) when v joins the set, each new open pair uv must be joined by a
-          path through vertices off the set, which a breadth-first search
-          over bitmasks checks.  The vertices off the set only shrink as
-          it grows, so a pair cut off now stays cut off in every full set
-          that extends this one, and would fail the reachability check
-          below; the cut drops no set that routing could complete, and the
-          first witness found stays the same.
+      (c) when v joins the set, a new open pair uv whose ends share no
+          neighbor off the set has no path of length 2 around it, so it
+          needs two private internal vertices.  The vertices off the set
+          only shrink as it grows, so the pair still needs two in every
+          full set that extends this one.
 
-    On a full branch set each open pair is checked once more against the
-    free vertices, which the set has shrunk since (c) checked it.  Then the
+    The count of (a) and (c) is thus a lower bound on the internal vertices
+    of any system of paths for any full set above the partial one, and a set
+    it cuts would fail routing below: the cut drops no set that routing
+    could complete, and the first witness found stays the same.
+
+    On a full branch set each open pair is first checked for a path through
+    the free vertices, by a breadth-first search over bitmasks.  Then the
     open pairs are routed one after another by depth-first search:
 
       - only chordless paths are tried: a new vertex touches no earlier
@@ -874,7 +878,7 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
                         key=lambda v: (-adj[v].bit_count(), v))
     free_all = (1 << n) - 1
 
-    def choose(start: int, branch: int, size: int, open_count: int) -> SubdivisionWitness | None:
+    def choose(start: int, branch: int, size: int, private_need: int) -> SubdivisionWitness | None:
         if size == t:
             members, rest = [], branch
             while rest:
@@ -890,21 +894,20 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
                                       paths=tuple((pair, system.get(pair, pair)) for pair in pairs))
         for i in range(start, len(candidates) - (t - size) + 1):
             v = candidates[i]
-            count = open_count + size - (adj[v] & branch).bit_count()
-            if count > n - t:
-                continue
-            grown = branch | 1 << v
-            free = free_all & ~grown
-            rest = branch & ~adj[v]
-            while rest:
+            need = private_need + size - (adj[v] & branch).bit_count()
+            # a new open pair with no common neighbor off the set has no path
+            # of length 2 in any set above this one: two private vertices
+            near, rest = adj[v] & ~branch, branch & ~adj[v]
+            while rest and need <= n - t:
                 low = rest & -rest
-                if not _reaches(adj, v, free, adj[low.bit_length() - 1]):
-                    break
+                if not adj[low.bit_length() - 1] & near:
+                    need += 1
                 rest ^= low
-            else:
-                witness = choose(i + 1, grown, size + 1, count)
-                if witness is not None:
-                    return witness
+            if need > n - t:
+                continue
+            witness = choose(i + 1, branch | 1 << v, size + 1, need)
+            if witness is not None:
+                return witness
         return None
 
     return _run_search("subdivision", choose, 0, 0, 0, 0)

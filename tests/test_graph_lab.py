@@ -171,6 +171,18 @@ def _icosahedron():
     return Graph(12, edges)
 
 
+def _subdivided_complete(t, longer):
+    """K_t with every edge subdivided once, except that the first `longer`
+    edges get two new vertices each."""
+    n, edges = t, []
+    for i, (u, v) in enumerate(itertools.combinations(range(t), 2)):
+        middle = list(range(n, n + 1 + (i < longer)))
+        n += len(middle)
+        path = [u, *middle, v]
+        edges += zip(path, path[1:])
+    return Graph(n, edges)
+
+
 def _relabel(g, rng):
     perm = list(range(g.vertex_count))
     rng.shuffle(perm)
@@ -630,6 +642,22 @@ class TestTopologicalClique:
     def test_catlin3_has_no_topological_k8(self):
         # chi(Catlin(3)) = 8, so this refutes Hajos' conjecture (Catlin 1979)
         assert find_topological_clique(build_family(FamilySpec(FamilyKind.CATLIN, (3,))), 8) is None
+
+    @pytest.mark.parametrize("t", [4, 5])
+    @pytest.mark.parametrize("longer", [0, 1])
+    def test_subdivided_complete_graph_fills_the_private_count(self, t, longer):
+        # only the t original vertices have degree t-1, every pair of them is
+        # open, and a pair on a longer path shares no neighbor and counts two:
+        # the private-vertex count is exactly n - t, the most it may be
+        g = _subdivided_complete(t, longer)
+        assert g.vertex_count - t == t * (t - 1) // 2 + longer
+        w = find_topological_clique(g, t)
+        assert w is not None and w.verify(g)
+        assert w.branch_vertices == tuple(range(t))
+
+    def test_catlin4_has_no_topological_k10(self):
+        # chi(Catlin(4)) = 10; decided by the private-vertex count in well under a second
+        assert find_topological_clique(build_family(FamilySpec(FamilyKind.CATLIN, (4,))), 10) is None
 
     def test_catlin2_has_topological_k5(self):
         g = build_family(FamilySpec(FamilyKind.CATLIN, (2,)))
@@ -1096,7 +1124,7 @@ class TestKernelIdentity:
 
 # Reference subdivision search: graph_lab's SubdivisionWitness.verify,
 # _reaches, _route and find_topological_clique as they were before the
-# search walked set bits inline and cut branch sets by reachability, copied
+# search walked set bits inline and sharpened its private-vertex count, copied
 # statement for statement in the same way as the kernels above.  The search
 # must find exactly the witness these find, in no more calls of choose, and
 # verify must accept exactly the witnesses the reference accepts.
@@ -1278,10 +1306,10 @@ def _assert_search_matches(g, t, rng):
 
 
 class TestSubdivisionIdentity:
-    """The inline bit walks, the bitmask witness check and the reachability
-    cut change no answer: the same first witness as the reference search,
-    never more search nodes, and the same verify verdict on every witness
-    and every tampering of it."""
+    """The inline bit walks, the bitmask witness check and the count of two
+    private vertices for a pair without a common neighbor change no answer:
+    the same first witness as the reference search, never more search nodes,
+    and the same verify verdict on every witness and every tampering of it."""
 
     def test_random_graphs(self):
         rng = random.Random(0x1F17)
@@ -1301,8 +1329,13 @@ class TestSubdivisionIdentity:
                  for spec in delta_splits(r) + efamily_splits(r)]
         cases += [(catlin(2), 5), (catlin(3), 8), (_icosahedron(), 5), (_icosahedron(), 6),
                   (_petersen(), 4), (_petersen(), 5)]
+        # "no" answers that charging two for a pair without a common neighbor must shorten
+        must_cut = {(catlin(3), 8), (_icosahedron(), 6)}
         cut = 0
         for g, t in cases:
             _, nodes, ref_nodes, _ = _assert_search_matches(_relabel(g, rng), t, rng)
             cut += nodes < ref_nodes
+            if (g, t) in must_cut:
+                assert nodes < ref_nodes, (t, nodes, ref_nodes)
         assert cut > 0
+        assert must_cut <= set(cases)
