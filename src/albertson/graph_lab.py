@@ -56,7 +56,10 @@ colorings come from two sound sources:
     color b, recoloring z to b leaves zx the one monochromatic edge of g, so
     the result colors G-zx.  (z has a neighbor of every color, else
     recoloring it would color g.)  Moves are followed depth-first, and only
-    an edge that no move reached needs a contraction of its own.
+    an edge that no move reached needs a contraction of its own.  A move is
+    tried only toward an open edge, one that no coloring has reached yet:
+    each vertex keeps a mask of its open edges, so the work per coloring
+    shrinks as edges close.
 
 Graphs read and write the graph6 text format (one graph per line) for
 exchanging externally published graph lists.
@@ -521,39 +524,48 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
             colors.insert(v, colors[u])  # v takes the color of u
         return colors
 
-    open_edges = set(g.edges)
-    for edge in sorted(open_edges):
-        if edge not in open_edges:
-            continue
-        colors = color(*edge)
-        if colors is None:
-            return
-        open_edges.discard(edge)
-        classes = [0] * k
-        for x, c in enumerate(colors):
-            classes[c] |= 1 << x
-        stack = [(edge, colors, classes)]
-        while stack:
-            edge, colors, classes = stack.pop()
-            yield edge, colors
-            for z in edge:
-                for beta, members in enumerate(classes):
-                    # an end z with exactly one neighbor x of color beta
-                    # moves to beta, and zx is the only edge left monochromatic;
-                    # beta = colors[z] finds e itself, and no neighbor of color
-                    # beta cannot happen, as it would color g
-                    hit = adj[z] & members
-                    if hit & (hit - 1) == 0:
-                        x = hit.bit_length() - 1
-                        moved = (z, x) if z < x else (x, z)
-                        if moved in open_edges:
-                            open_edges.discard(moved)
-                            recolored = colors[:]
-                            recolored[z] = beta
-                            reclassed = classes[:]
-                            reclassed[colors[z]] &= ~(1 << z)
-                            reclassed[beta] |= 1 << z
-                            stack.append((moved, recolored, reclassed))
+    # open_[x]: the ends y of the edges xy that no coloring has reached yet
+    open_ = list(adj)
+    for u in range(len(adj)):
+        # edges below u are all reached, so the lowest open end is above u
+        while open_[u]:
+            v = (open_[u] & -open_[u]).bit_length() - 1
+            colors = color(u, v)
+            if colors is None:
+                return
+            open_[u] ^= 1 << v
+            open_[v] ^= 1 << u
+            classes = [0] * k
+            for x, c in enumerate(colors):
+                classes[c] |= 1 << x
+            stack = [((u, v), colors, classes)]
+            while stack:
+                edge, colors, classes = stack.pop()
+                yield edge, colors
+                for z in edge:
+                    # an end z whose only neighbor of color beta is x, on an
+                    # open edge zx, moves to beta, and zx is the only edge
+                    # left monochromatic (e, the one edge in z's own color,
+                    # is closed); the moves go on the stack in ascending
+                    # beta, with at most one x per beta
+                    moves = []
+                    near, rest = adj[z], open_[z]
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        x = low.bit_length() - 1
+                        beta = colors[x]
+                        if near & classes[beta] == low:
+                            moves.append((beta, x))
+                    for beta, x in sorted(moves):
+                        open_[z] ^= 1 << x
+                        open_[x] ^= 1 << z
+                        recolored = colors[:]
+                        recolored[z] = beta
+                        reclassed = classes[:]
+                        reclassed[colors[z]] &= ~(1 << z)
+                        reclassed[beta] |= 1 << z
+                        stack.append(((z, x) if z < x else (x, z), recolored, reclassed))
 
 
 def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
@@ -636,6 +648,12 @@ def _max_matching(adj: Sequence[int]) -> list[int]:
     augmenting path, which is flipped along the parent links.  A vertex
     that roots no augmenting path never roots one later, so one pass over
     the vertices suffices (Berge 1957 for maximality).
+
+    A root with an unmatched neighbor is matched to the lowest one without
+    a search.  That is the search's own answer: it scans the root's
+    neighbors in ascending order before it dequeues anything else, a
+    blossom found in that scan touches no unmatched vertex off the tree,
+    and the first unmatched neighbor ends it with the path root-to.
     """
     n = len(adj)
     match = [-1] * n
@@ -703,7 +721,14 @@ def _max_matching(adj: Sequence[int]) -> list[int]:
 
     for v in range(n):
         if match[v] == -1:
-            augment(v)
+            rest = adj[v]
+            while rest and match[(rest & -rest).bit_length() - 1] != -1:
+                rest &= rest - 1
+            if rest:
+                to = (rest & -rest).bit_length() - 1
+                match[v], match[to] = to, v
+            else:
+                augment(v)
     return match
 
 

@@ -872,9 +872,11 @@ class TestBudgets:
 
 # Reference kernels: graph_lab's _cliques, _k_coloring, _has_triangle,
 # _max_matching and _edge_colorings as they were before they walked set bits
-# inline, copied statement for statement; only docstrings, comments and type
-# hints are left out and a _ref prefix marks the names they define and call.
-# The fast kernels must return, and yield, exactly what these do.
+# inline, before the moves were read off per-vertex open-edge masks and
+# before a root was matched straight to a free neighbor, copied statement
+# for statement; only docstrings, comments and type hints are left out and a
+# _ref prefix marks the names they define and call.  The fast kernels must
+# return, and yield, exactly what these do.
 
 
 def _ref_bits(mask: int):
@@ -1120,6 +1122,23 @@ class TestKernelIdentity:
         cases += [(_mycielski_k(k), k) for k in (4, 5)]
         for g, r in cases:
             _assert_kernels_match(_relabel(g, rng), (r - 1, r), (r, r + 1))
+        # where most edges are reached by moves: larger critical graphs on
+        # the matching path, with the coloring kernel left out (its search
+        # at k = r - 1 is slow here, and the moves do not touch it)
+        cases = [(build_family(FamilySpec(FamilyKind.CATLIN, sizes=(k,))), -(-5 * k // 2))
+                 for k in (5, 7)]
+        cases += [(build_family(spec), r) for r in (11, 12) for spec in delta_splits(r)]
+        for g, r in cases:
+            _assert_kernels_match(_relabel(g, rng), (), (r, r + 1))
+
+    def test_matching_on_larger_random_graphs(self):
+        # graphs larger than test_random_graphs draws (n <= 13), each graph
+        # and its complement
+        rng = random.Random(0x1F)
+        for _ in range(2000):
+            adj = _random_graph(rng, rng.randint(14, 24), rng.random()).masks
+            for masks in (adj, _complement_masks(adj)):
+                assert _max_matching(masks) == _ref_max_matching(masks), masks
 
 
 # Reference subdivision search: graph_lab's SubdivisionWitness.verify,
