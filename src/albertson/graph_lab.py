@@ -134,7 +134,7 @@ def _run_search(kind: str, search, *args):
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Graph:
     """Immutable simple graph on vertices 0..vertex_count-1, stored as
-    adjacency bitmasks; edges (u < v) and neighbor sets derive from them."""
+    adjacency bitmasks; the edges (u < v) derive from them."""
 
     vertex_count: int
     masks: tuple[int, ...]
@@ -158,10 +158,6 @@ class Graph:
         return frozenset((u, v) for u, mask in enumerate(self.masks) for v in _bits(mask) if u < v)
 
     @property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(_bits(mask)) for mask in self.masks)
-
-    @property
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.masks) // 2
 
@@ -169,7 +165,7 @@ class Graph:
         return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        # either end may come from an unchecked witness; v < 0 would raise
+        # public callers may pass any int: u < 0 would read another mask, v < 0 raise
         return 0 <= u < self.vertex_count and v >= 0 and self.masks[u] >> v & 1 == 1
 
     def without_edge(self, u: int, v: int) -> "Graph":
@@ -330,8 +326,8 @@ def efamily_splits(r: int) -> tuple[FamilySpec, ...]:
 
 def _bits(mask: int):
     """Indexes of the set bits of mask, lowest first, for the cold paths
-    only: Graph.edges, adjacency and complement, complement_analysis and the
-    root precoloring in _k_coloring.  The coloring, matching and subdivision
+    only: Graph.edges and complement, complement_analysis and the root
+    precoloring in _k_coloring.  The coloring, matching and subdivision
     searches walk set bits inline instead (low = rest & -rest, lowest
     first), since a generator resume costs more than the bit test itself."""
     while mask:
@@ -745,16 +741,6 @@ class SubdivisionWitness:
     branch_vertices: tuple[int, ...]
     paths: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
 
-    def path_map(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        return dict(self.paths)
-
-    def as_text_block(self) -> str:
-        lines = [f"topological K{self.t}",
-                 "branch: " + " ".join(str(v) for v in self.branch_vertices)]
-        for (u, v), path in self.paths:
-            lines.append(f"path {u}-{v}: " + " ".join(str(w) for w in path))
-        return "\n".join(lines)
-
     def verify(self, g: Graph) -> bool:
         """Re-check every claim of the witness against g.  Each path vertex
         passes the edge test from its predecessor, which rejects a vertex
@@ -896,8 +882,6 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
         raise ValueError(f"t must be >= 0, got {t}")
     n = g.vertex_count
     _check_budget("subdivision", n, max_n)
-    if t == 0:
-        return SubdivisionWitness(t=0, branch_vertices=(), paths=())
     adj = g.masks
     candidates = sorted((v for v in range(n) if adj[v].bit_count() >= t - 1),
                         key=lambda v: (-adj[v].bit_count(), v))

@@ -206,11 +206,17 @@ class TestFamilies:
         assert "chromatic number: 5 (expected 5)" in out
 
     def test_missing_parameter(self, capsys):
-        assert invoke(capsys, "families", "--kind", "Catlin")[0] == 2
+        for kind, message in (("Catlin", "catlin needs --k"),
+                              ("Complete", "complete needs --n"),
+                              ("Delta", "Delta needs --r (all splits) or --sizes (one split)")):
+            code, out, err = invoke(capsys, "families", "--kind", kind)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_invalid_sizes(self, capsys):
         assert invoke(capsys, "families", "--kind", "Delta",
                       "--sizes", "2,1,1")[0] == 2
+        code, _, err = invoke(capsys, "families", "--kind", "Delta", "--sizes", "3,x")
+        assert code == 2 and "not a comma-separated size list: '3,x'" in err
 
     def test_subdivision_budget_stops_before_criticality(self, capsys, monkeypatch):
         # Delta(11) has n = 21, over the default subdivision budget of 20: the

@@ -124,6 +124,8 @@ class TestZarankiewicz:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             zarankiewicz(0)
+        with pytest.raises(ValueError, match="part sizes must be >= 1, got 0, 3"):
+            bipartite_zarankiewicz(0, 3)
 
     @pytest.mark.parametrize("r,k", [(13, 194), (17, 675), (4, 0), (5, 1)])
     def test_klerk(self, r, k):
@@ -159,6 +161,10 @@ class TestCrossingLemma:
     def test_inapplicable(self):
         with pytest.raises(InapplicableRuleError):
             crossing_lemma_lower(100, 300)
+
+    def test_rejects_empty_graph(self):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            crossing_lemma_lower(0, 5)
 
     def test_picks_stronger_form(self):
         # 16*129 >= 103*20 and 129 >= 80, so both forms apply; the 311/10

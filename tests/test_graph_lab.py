@@ -65,13 +65,13 @@ def _oracle_chromatic(g):
     if n == 0:
         return 0
     colors = [0] * n
-    adjacency = g.adjacency  # derived from the masks on each access
+    masks = g.masks
 
     def feasible(v, k, top=0):
         if v == n:
             return True
         for c in range(1, min(k, top + 1) + 1):
-            if all(colors[w] != c for w in adjacency[v] if w < v):
+            if all(colors[w] != c for w in range(v) if masks[v] >> w & 1):
                 colors[v] = c
                 if feasible(v + 1, k, max(top, c)):
                     return True
@@ -87,14 +87,14 @@ def _oracle_chromatic(g):
 def _all_paths(g, u, v, banned, used):
     """Every simple u-v path whose internal vertices avoid banned | used."""
     out = []
-    adjacency = g.adjacency
+    masks = g.masks
 
     def dfs(cur, path):
-        for w in adjacency[cur]:
+        for w in range(g.vertex_count):
+            if not masks[cur] >> w & 1 or w in banned or w in used or w in path:
+                continue
             if w == v:
                 out.append(path + (v,))
-                continue
-            if w in banned or w in used or w in path:
                 continue
             dfs(w, path + (w,))
 
@@ -220,6 +220,8 @@ class TestGraphType:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
+        with pytest.raises(ValueError, match="vertex_count must be >= 0, got -1"):
+            Graph(-1)
 
     def test_deduplicates_and_normalizes(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
@@ -244,8 +246,12 @@ class TestGraphType:
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
         g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
         assert g.edges == frozenset(edges) and g.edge_count == len(edges)
-        assert g.masks == tuple(sum(1 << w for w in nbrs) for nbrs in g.adjacency)
-        assert all(g.degree(v) == len(g.adjacency[v]) for v in range(n))
+        masks = [0] * n
+        for u, v in edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        assert g.masks == tuple(masks)
+        assert all(g.degree(v) == sum(v in e for e in edges) for v in range(n))
         assert all(g.has_edge(u, v) == ((min(u, v), max(u, v)) in g.edges)
                    for u in range(n) for v in range(n))
 
@@ -330,13 +336,32 @@ class TestFamilies:
             FamilySpec(FamilyKind.DELTA, sizes=(2, 1, 1)).validate()
 
     def test_validate_rejects_empty_part(self):
-        with pytest.raises(ValueError):
-            FamilySpec(FamilyKind.DELTA, sizes=(2, 0, 3)).validate()
+        for kind, sizes, message in (
+                (FamilyKind.DELTA, (2, 0, 3), "Delta needs three positive sizes"),
+                (FamilyKind.CATLIN, (0,), "Catlin needs one size k >= 1"),
+                (FamilyKind.COMPLETE, (-1,), "Complete needs one size n >= 0")):
+            with pytest.raises(ValueError) as exc:
+                FamilySpec(kind, sizes).validate()
+            assert str(exc.value).startswith(message)
 
     def test_validate_rejects_bad_efamily(self):
-        # |A2| + |B2| must stay below r = |A1|+|A2|+1
-        with pytest.raises(ValueError):
-            FamilySpec(FamilyKind.EFAMILY, sizes=(1, 3, 1, 3)).validate()
+        for sizes, message in (
+                # |A2| + |B2| must stay below r = |A1|+|A2|+1
+                ((1, 3, 1, 3), "EFamily needs |A2|+|B2| <= r-1"),
+                ((2, 2, 2), "EFamily needs four positive sizes"),
+                ((2, 2, 1, 2), "EFamily needs |A1|+|A2| = |B1|+|B2|")):
+            with pytest.raises(ValueError) as exc:
+                FamilySpec(FamilyKind.EFAMILY, sizes).validate()
+            assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("build, message", [
+        (cycle_graph, "cycle needs n >= 3, got 2"),
+        (delta_splits, "Delta family needs r >= 3, got 2"),
+        (efamily_splits, "EFamily needs r >= 3, got 2"),
+    ], ids=["cycle", "delta", "efamily"])
+    def test_order_two_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(2)
 
 
 class TestChromatic:
@@ -595,9 +620,6 @@ class TestTopologicalClique:
         assert w.t == 3
         assert len(w.branch_vertices) == 3
         assert len(w.paths) == 3
-        block = w.as_text_block()
-        assert block.startswith("topological K3")
-        assert "branch:" in block and "path" in block
 
     def test_witness_verify_rejects_other_graph(self):
         w = find_topological_clique(cycle_graph(4), 3)
@@ -614,7 +636,7 @@ class TestTopologicalClique:
     def test_witness_verify_rejects_tampered_paths(self, spec, pair, path):
         g = build_family(spec)
         w = find_topological_clique(g, spec.r)
-        assert w.verify(g) and pair in w.path_map()
+        assert w.verify(g) and pair in dict(w.paths)
         paths = tuple((p, path if p == pair else old) for p, old in w.paths)
         assert not dataclasses.replace(w, paths=paths).verify(g)
 
@@ -628,6 +650,11 @@ class TestTopologicalClique:
         assert contains_topological_clique(Graph(1, []), 1)
         assert not contains_topological_clique(Graph(0, []), 1)
         assert contains_topological_clique(complete_graph(2), 2)
+        for g in (Graph(0, []), cycle_graph(5)):
+            w = find_topological_clique(g, 0)
+            assert w == SubdivisionWitness(t=0, branch_vertices=(), paths=()) and w.verify(g)
+        with pytest.raises(ValueError, match="t must be >= 0, got -1"):
+            find_topological_clique(cycle_graph(5), -1)
 
     def test_agrees_with_unpruned_search(self):
         rng = random.Random(0x5D)
@@ -783,6 +810,7 @@ class TestGraph6:
         ("A" + chr(200), 1),
         ("A_B", 2),        # trailing data
         ("~~???", 1),      # >= 2^18 vertices unsupported
+        ("~??", 3),        # truncated extended vertex count
     ])
     def test_errors_carry_offsets(self, text, offset):
         with pytest.raises(Graph6Error) as exc:
