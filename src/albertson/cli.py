@@ -174,11 +174,11 @@ def _family_specs(args) -> list[FamilySpec]:
     kind = FamilyKind(args.kind)
     if kind is FamilyKind.CATLIN:
         if args.k is None:
-            raise ValueError("catlin needs --k")
+            raise ValueError(f"{args.kind} needs --k")
         return [FamilySpec(kind, (args.k,))]
     if kind is FamilyKind.COMPLETE:
         if args.n is None:
-            raise ValueError("complete needs --n")
+            raise ValueError(f"{args.kind} needs --n")
         return [FamilySpec(kind, (args.n,))]
     if args.sizes is not None:
         return [FamilySpec(kind, args.sizes)]
@@ -206,7 +206,7 @@ def _cmd_families(args) -> int:
         ok = ok and chi == r
         if spec.kind in (FamilyKind.DELTA, FamilyKind.EFAMILY):
             verified = contains_topological_clique(g, r, max_n=subdivision)
-            critical = chi == r and is_critical(g, r, max_n=coloring)
+            critical = is_critical(g, r, max_n=coloring)
             print(f"  critical({r}): {_yes(critical)}")
             print(f"  topological K{r}: "
                   + ("yes (witness verified)" if verified else "no"))
@@ -239,7 +239,7 @@ def _cmd_check_list(args) -> int:
         try:
             chi = chromatic_number(g, max_n=budget.get("coloring"))
             topological = contains_topological_clique(g, args.r, max_n=budget.get("subdivision"))
-            critical = chi == args.r and is_critical(g, args.r, max_n=budget.get("coloring"))
+            critical = is_critical(g, args.r, max_n=budget.get("coloring"))
         except BudgetExceededError as exc:
             print(f"{index}: budget exceeded: {exc}")
             ok = False

@@ -14,8 +14,9 @@ Families:
               ceil(5k/2), the classical Hajós-conjecture counterexamples.
   Complete(n)  the complete graph.
 
-A Graph stores only adjacency bitmasks (bit v of masks[u] is the edge uv),
-and every algorithm below works on them.
+A Graph stores adjacency bitmasks (bit v of masks[u] is the edge uv), and
+every algorithm below works on them; besides, once chromatic_number has run
+on it, it keeps the chi proved, a record that ==, hash and pickle ignore.
 
 Algorithms are exact and budget-guarded: chromatic number and criticality
 (below), simplicial counts in the degree-(n-1) sense, complement structure
@@ -42,9 +43,12 @@ count over greedy cliques).
 
 Criticality at r never computes chi: g must not be (r-1)-colorable, and
 every G-e must be; a fresh color on one end of e then r-colors g, so chi = r
-with every edge critical.  Once g is known not to be (r-1)-colorable, an
-(r-1)-coloring of G-e makes e = uv its one monochromatic edge of g, and the
-colorings come from two sound sources:
+with every edge critical.  A chi that chromatic_number has proved and
+recorded on the same Graph object stands in for the refutation of g, so a
+caller that asks for chi first never refutes the same (r-1)-coloring
+twice, and chi != r answers False at once.  Once g is known not to be
+(r-1)-colorable, an (r-1)-coloring of G-e makes e = uv its one
+monochromatic edge of g, and the colorings come from two sound sources:
 
   - the contraction G/uv (Zykov 1949): a coloring of G-uv that gives u and v
     one color colors G/uv, and a coloring of G/uv gives u and v the color of
@@ -131,11 +135,15 @@ def _run_search(kind: str, search, *args):
                                   f"{sys.getrecursionlimit()}") from None
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Graph:
     """Immutable simple graph on vertices 0..vertex_count-1, stored as
-    adjacency bitmasks; the edges (u < v) derive from them."""
+    adjacency bitmasks; the edges (u < v) derive from them.
 
+    _chi is not a field: chromatic_number records the chi it proved there,
+    and criticality reads it.  ==, hash, repr, pickle and copy ignore it."""
+
+    __slots__ = ("vertex_count", "masks", "_chi")
     vertex_count: int
     masks: tuple[int, ...]
 
@@ -150,8 +158,18 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={vertex_count}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
+        self.__setstate__((vertex_count, tuple(masks)))
+
+    def __getstate__(self) -> tuple[int, tuple[int, ...]]:
+        return self.vertex_count, self.masks
+
+    def __setstate__(self, state: tuple[int, tuple[int, ...]]) -> None:
+        # the frozen __setattr__ refuses, so the slots are written directly;
+        # chi stays unknown until chromatic_number proves it
+        vertex_count, masks = state
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "_chi", None)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -479,24 +497,30 @@ def _classes(mate: list[int]) -> list[int]:
 def chromatic_number(g: Graph, max_n: int | None = None) -> int:
     """Exact chromatic number.  With alpha(g) <= 2 it is n - nu(complement);
     otherwise k counts up from the largest clique found until the graph is
-    k-colorable."""
+    k-colorable.  The answer is recorded on g for is_critical to read."""
     _check_budget("coloring", g.vertex_count, max_n)
     adj = g.masks
     comp = _complement_masks(adj)
     if not _has_triangle(comp):
-        return max(_classes(_max_matching(comp)), default=-1) + 1
-    cliques = _cliques(adj)
-    k = cliques[0].bit_count()
-    while _k_coloring(adj, k, cliques) is None:
-        k += 1
+        k = max(_classes(_max_matching(comp)), default=-1) + 1
+    else:
+        cliques = _cliques(adj)
+        k = cliques[0].bit_count()
+        while _k_coloring(adj, k, cliques) is None:
+            k += 1
+    object.__setattr__(g, "_chi", k)
     return k
 
 
 def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[int]]]:
     """Yield (e, an (r-1)-coloring of G-e) for each edge e of g, each edge
     once, if g is not (r-1)-colorable; stop at the first edge whose G-e is
-    not (r-1)-colorable either, and yield nothing if g is."""
-    adj, k = g.masks, r - 1
+    not (r-1)-colorable either, and yield nothing if g is.  A chi that
+    chromatic_number recorded on g answers that question in place of the
+    oracle's refutation."""
+    adj, k, chi = g.masks, r - 1, g._chi
+    if chi is not None and chi < r:
+        return
     # the matching colors exactly only when alpha <= 2, and alpha(G/uv) <=
     # alpha(g), so the choice made on g holds for every contraction
     if _has_triangle(_complement_masks(adj)):
@@ -506,7 +530,7 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
         def oracle(masks: Sequence[int]) -> list[int] | None:
             colors = _classes(_max_matching(_complement_masks(masks)))
             return colors if max(colors) < k else None
-    if oracle(adj) is not None:
+    if chi is None and oracle(adj) is not None:
         return
 
     def color(u: int, v: int) -> list[int] | None:
@@ -578,11 +602,16 @@ def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
     (with no edge, chi = min(n, 1)).  One oracle, the complement matching
     when alpha(g) <= 2 and a DSATUR search otherwise, refutes g and colors
     each G-uv through the contraction G/uv; recoloring moves spare most
-    edges a coloring of their own (module docstring).
+    edges a coloring of their own (module docstring).  When chromatic_number
+    has already proved chi on g, that chi stands in for the refutation: a chi
+    other than r answers False at once, after the budget check, and chi = r
+    goes straight to the edges.
     """
     if r >= 2 and 0 in g.masks:
         return False
     _check_budget("coloring", g.vertex_count, max_n)
+    if g._chi is not None and g._chi != r:
+        return False
     if r <= 0 or not g.edge_count:
         return r == min(g.vertex_count, 1)
     return sum(1 for _ in _edge_colorings(g, r)) == g.edge_count

@@ -206,8 +206,8 @@ class TestFamilies:
         assert "chromatic number: 5 (expected 5)" in out
 
     def test_missing_parameter(self, capsys):
-        for kind, message in (("Catlin", "catlin needs --k"),
-                              ("Complete", "complete needs --n"),
+        for kind, message in (("Catlin", "Catlin needs --k"),
+                              ("Complete", "Complete needs --n"),
                               ("Delta", "Delta needs --r (all splits) or --sizes (one split)")):
             code, out, err = invoke(capsys, "families", "--kind", kind)
             assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -3,6 +3,7 @@ simplicial/complement analysis, topological clique search, graph6 round-trips.""
 
 import copy
 import dataclasses
+import functools
 import itertools
 import pickle
 import random
@@ -896,6 +897,156 @@ class TestBudgets:
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("ALBERTSON_BUDGET", "coloring=10")
         assert chromatic_number(Graph(11, []), max_n=12) == 1
+
+
+@functools.cache
+def _seeded_oracle_cases():
+    """(graph, chi, {r: the edge-deletion oracle's answer} for r = chi - 1,
+    chi, chi + 1) for the graphs that test_matches_edge_deletion_oracle and
+    test_independence_two_matches_oracles draw, from the same seeds: each
+    random graph and a subgraph with the same chi that no edge deletion
+    keeps there (and, for the second, at alpha <= 2)."""
+    graphs = [Graph(n) for n in (0, 1)]
+    rng = random.Random(0xC7)
+    for _ in range(40):
+        g = _random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.8))
+        chi = _oracle_chromatic(g)
+        h = g
+        for e in rng.sample(sorted(g.edges), len(g.edges)):
+            if _oracle_chromatic(h.without_edge(*e)) == chi:
+                h = h.without_edge(*e)
+        graphs += [g, h]
+    rng = random.Random(0xD2)
+    for _ in range(60):
+        g = _co_triangle_free(rng, rng.randint(1, 12))
+        chi = _oracle_chromatic(g)
+        h = g
+        for e in rng.sample(sorted(g.edges), len(g.edges)):
+            x = h.without_edge(*e)
+            if complement_analysis(x).has_triangle is False and _oracle_chromatic(x) == chi:
+                h = x
+        graphs += [g, h]
+    cases = []
+    for g in graphs:
+        chi = _oracle_chromatic(g)
+        cases.append((g, chi, {r: _oracle_critical(g, r) for r in (chi - 1, chi, chi + 1)}))
+    return cases
+
+
+def _known_critical_cases():
+    """(graph, chi, {r: criticality}) for graphs whose answer is known by
+    construction, too large for the brute-force oracle: relabelled Delta_r
+    and E_r members (r-critical) for r = 4..9, M4 (4-critical) and
+    Catlin(k) for k = 2..5 (chi = ceil(5k/2), critical iff k is odd)."""
+    rng = random.Random(0x21)
+    cases = [(build_family(spec), r, True) for r in range(4, 10)
+             for spec in delta_splits(r) + efamily_splits(r)]
+    cases.append((_mycielski_k(4), 4, True))
+    cases += [(build_family(FamilySpec(FamilyKind.CATLIN, sizes=(k,))), -(-5 * k // 2), k % 2 == 1)
+              for k in range(2, 6)]
+    return [(_relabel(g, rng), chi, {chi - 1: False, chi: critical, chi + 1: False})
+            for g, chi, critical in cases]
+
+
+class TestRecordedChi:
+    """chromatic_number records the chi it proved on the Graph, and
+    criticality reads it in place of refuting (r-1)-colorability: the same
+    answers and colorings as on a fresh copy, one refutation fewer, no
+    visible state, no budget skipped and nothing recorded by a search that
+    did not finish."""
+
+    @staticmethod
+    def _cases():
+        return _seeded_oracle_cases() + _known_critical_cases()
+
+    def test_is_critical_matches_a_fresh_copy_and_the_oracles(self):
+        critical = 0
+        for g, chi, answers in self._cases():
+            g = Graph(g.vertex_count, g.edges)  # the cached cases stay unrecorded
+            fresh = Graph(g.vertex_count, g.edges)
+            assert chromatic_number(g) == chi and g._chi == chi, g.edges
+            for r, expected in answers.items():
+                assert is_critical(g, r) == is_critical(fresh, r) == expected, (g.edges, r)
+                critical += expected
+            assert fresh._chi is None  # is_critical records nothing
+        assert critical > 100
+
+    def test_edge_colorings_match_a_fresh_copy(self):
+        # is_critical reaches _edge_colorings only for a graph with an edge
+        for g, chi, _ in self._cases():
+            if not g.edge_count:
+                continue
+            g = Graph(g.vertex_count, g.edges)
+            fresh = Graph(g.vertex_count, g.edges)
+            chromatic_number(g)
+            for r in (chi - 1, chi, chi + 1):
+                # copies, so that a later change to a yielded list cannot hide here
+                got = [(e, colors[:]) for e, colors in _edge_colorings(g, r)]
+                assert got == [(e, colors[:]) for e, colors in _edge_colorings(fresh, r)], \
+                    (g.edges, r)
+
+    @pytest.mark.parametrize("name, r, kernel", [("Delta8", 8, _max_matching),
+                                                 ("M4", 4, _k_coloring)], ids=["Delta8", "M4"])
+    def test_refutation_is_not_repeated(self, monkeypatch, name, r, kernel):
+        # Delta8 (alpha = 2) refutes by the complement matching, M4
+        # (alpha = 5) by the DSATUR search; a recorded chi spares one call
+        g = build_family(delta_splits(8)[2]) if name == "Delta8" else _mycielski_k(4)
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(f"albertson.graph_lab.{kernel.__name__}", counted)
+        assert is_critical(g, r)
+        fresh_calls = calls
+        assert chromatic_number(g) == r
+        calls = 0
+        assert is_critical(g, r)
+        assert calls == fresh_calls - 1 >= 1
+
+    def test_record_is_invisible(self):
+        g = complete_graph(4).without_edge(1, 3)
+        plain = Graph(g.vertex_count, g.edges)
+        assert chromatic_number(g) == 3 and g._chi == 3 and plain._chi is None
+        assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
+        assert [f.name for f in dataclasses.fields(g)] == ["vertex_count", "masks"]
+        assert pickle.dumps(g) == pickle.dumps(plain)
+        for copier in (lambda h: pickle.loads(pickle.dumps(h)), copy.copy, copy.deepcopy):
+            got = copier(g)
+            assert got == g and hash(got) == hash(g) and got._chi is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g._chi = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del g._chi
+        assert g._chi == 3 and not hasattr(g, "__dict__")
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_budget_still_applies(self, monkeypatch, r):
+        # C41 is 3-critical with n = 41, one over the default coloring budget
+        g = cycle_graph(41)
+        assert chromatic_number(g, max_n=50) == 3
+        monkeypatch.delenv("ALBERTSON_BUDGET", raising=False)
+        with pytest.raises(BudgetExceededError):
+            is_critical(g, r)
+        monkeypatch.setenv("ALBERTSON_BUDGET", "coloring=40")
+        with pytest.raises(BudgetExceededError):
+            is_critical(g, r)
+        assert is_critical(g, r, max_n=50) == (r == 3)
+
+    def test_unfinished_search_records_nothing(self):
+        # DSATUR colors a cycle one forced vertex per level, so a cycle
+        # longer than the recursion limit stops the search before chi is
+        # known; its greedy clique (2) is not chi (3)
+        g = cycle_graph(sys.getrecursionlimit() + 1)
+        n = g.vertex_count
+        for search in (lambda: chromatic_number(g), lambda: chromatic_number(g, max_n=n)):
+            with pytest.raises(BudgetExceededError):
+                search()
+            assert g._chi is None
+        with pytest.raises(BudgetExceededError, match="recursion limit"):
+            is_critical(g, 3, max_n=n)
 
 
 # Reference kernels: graph_lab's _cliques, _k_coloring, _has_triangle,
