@@ -130,8 +130,6 @@ def join_refined_edges(r: int) -> EdgeBound:
     Gallai count by (n1-r1)n2 + (n2-r2)n1 >= r-2 (minimized at n2=r2=1).
     Hence ceil((r-2)/2) extra edges on top of the Gallai bound.
     """
-    if r < 4:
-        raise ValueError(f"r must be >= 4, got {r}")
     params = CriticalParams(r=r, n=2 * r - 2)
     m_min = gallai_edges(params).m_min + -(-(r - 2) // 2)
     return _bound(params, 2 * m_min, Rule.JOIN_REFINED)

@@ -26,11 +26,12 @@ recursion with a private-vertex count, which charges two private vertices
 to a pair whose ends share no neighbor off the set, then depth-first
 routing of chordless paths on bitmasks with reachability forward checks.
 Budgets default to n <= 40 for coloring and n <= 20 for subdivision search
-and can be raised per call (max_n) or via the ALBERTSON_BUDGET environment
-variable, e.g. ALBERTSON_BUDGET="coloring=50,subdivision=24"; unknown or
-repeated keys and negative values, a negative max_n included, raise
-ValueError.  Exceeding a budget, or the interpreter's
-recursion limit in a search, raises BudgetExceededError, never approximates.
+and can be raised per call (max_n) or per command (--budget, e.g.
+"coloring=50,subdivision=24"); nothing else sets them, so every search
+answers from its arguments alone.  Unknown or repeated keys and negative
+values, a negative max_n included, raise ValueError.  Exceeding a budget,
+or the interpreter's recursion limit in a search, raises
+BudgetExceededError, never approximates.
 
 Chromatic number: when the complement is triangle-free, i.e. alpha(g) <= 2,
 every color class is one vertex or one non-edge, so a coloring with c
@@ -71,7 +72,6 @@ exchanging externally published graph lists.
 from __future__ import annotations
 
 import itertools
-import os
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -109,21 +109,16 @@ def _parse_budget(spec: str) -> dict[str, int]:
 
 def _check_budget(kind: str, n: int, max_n: int | None) -> None:
     """Raise BudgetExceededError if n is over the vertex limit: max_n when
-    given, else the ALBERTSON_BUDGET entry for kind, else the default."""
+    given, else the default for kind."""
     limit, search = _BUDGETS[kind]
     if max_n is not None:
         if max_n < 0:
             raise ValueError(f"budget must be >= 0, got max_n={max_n}")
         limit = max_n
-    elif spec := os.environ.get("ALBERTSON_BUDGET", ""):
-        try:
-            limit = _parse_budget(spec).get(kind, limit)
-        except ValueError as exc:
-            raise ValueError(f"bad ALBERTSON_BUDGET: {exc}") from None
     if n > limit:
         raise BudgetExceededError(
             f"{search} budget is n <= {limit}, got n={n}; raise it via "
-            f"max_n or ALBERTSON_BUDGET={kind}=<N>")
+            f"max_n or --budget {kind}=<N>")
 
 
 def _run_search(kind: str, search, *args):
@@ -529,7 +524,7 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
     else:
         def oracle(masks: Sequence[int]) -> list[int] | None:
             colors = _classes(_max_matching(_complement_masks(masks)))
-            return colors if max(colors) < k else None
+            return colors if max(colors, default=-1) < k else None
     if chi is None and oracle(adj) is not None:
         return
 

@@ -148,8 +148,9 @@ class TestJoinRefined:
             assert join_refined_edges(r).m_min == plain.m_min + (r - 1) // 2
 
     def test_rejects_small_r(self):
-        with pytest.raises(ValueError):
-            join_refined_edges(3)
+        for r in (3, 1, -2):
+            with pytest.raises(ValueError, match=rf"^r must be >= 4, got {r}$"):
+                join_refined_edges(r)
 
 
 @given(st.integers(4, 30), st.integers(2, 50))

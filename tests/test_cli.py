@@ -224,7 +224,6 @@ class TestFamilies:
         def refuse(*args, **kwargs):
             raise AssertionError("criticality checked for a member whose TK search failed")
 
-        monkeypatch.delenv("ALBERTSON_BUDGET", raising=False)
         monkeypatch.setattr("albertson.graph_lab.is_critical", refuse)
         code, out, err = invoke(capsys, "families", "--kind", "Delta", "--r", "11")
         assert code == 2
@@ -323,14 +322,23 @@ class TestUsage:
     def test_missing_required(self, capsys):
         assert invoke(capsys, "verify")[0] == 2
 
-    @pytest.mark.parametrize("budget", ["colouring=3", "coloring=-5", "coloring=50,depth=2",
-                                        "coloring", "coloring=lots", "coloring=50,coloring=10"])
+    BAD_BUDGETS = {
+        "colouring=3": "unknown budget key 'colouring'; known keys are coloring, subdivision",
+        "coloring=-5": "budget must be >= 0, got 'coloring=-5'",
+        "coloring=50,depth=2": "unknown budget key 'depth'; known keys are coloring, subdivision",
+        "coloring": "budget entries look like coloring=50, got 'coloring'",
+        "coloring=lots": "bad budget value in 'coloring=lots'",
+        "coloring=50,coloring=10": "budget key 'coloring' given twice in 'coloring=50,coloring=10'",
+    }
+
+    @pytest.mark.parametrize("budget", list(BAD_BUDGETS))
     def test_bad_budget(self, capsys, budget):
         code, out, err = invoke(capsys, "families", "--kind", "Delta", "--r", "4",
                                 "--budget", budget)
         assert code == 2
         assert out == ""
-        assert "--budget" in err
+        assert err.endswith(f"albertson families: error: argument --budget: "
+                            f"{self.BAD_BUDGETS[budget]}\n")
 
 
 class TestClosedStdout:

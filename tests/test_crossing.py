@@ -329,6 +329,27 @@ class TestDeterminism:
                 cr_nmp(26, 240, optimize_p(26, 240)).raw
 
 
+class TestMethodDescribe:
+    def test_each_kind(self):
+        # one bound of each MethodKind, with the provenance string it reports
+        bounds = {
+            MethodKind.PROBABILISTIC: cr_nmp(18, 128, optimize_p(18, 128)),
+            MethodKind.COUNTING: counting_lower(60, 1000, SamplingParams(s=52)),
+            MethodKind.LEMMA311: crossing_lemma_lower(16, 103),
+            MethodKind.LEMMA64: crossing_lemma_lower(100, 400),
+            MethodKind.LINEAR: linear_lower(30, 300),
+        }
+        assert {kind: b.method.kind for kind, b in bounds.items()} == \
+            {kind: kind for kind in MethodKind}
+        assert {kind: b.method.describe() for kind, b in bounds.items()} == {
+            MethodKind.PROBABILISTIC: "probabilistic(p=719/1000)",
+            MethodKind.COUNTING: "counting(s=52, base=eq4)",
+            MethodKind.LEMMA311: "lemma311",
+            MethodKind.LEMMA64: "lemma64",
+            MethodKind.LINEAR: "eq5",
+        }
+
+
 # ---------------------------------------------------------------------------
 # oracles: the defining Fraction formulas, kept here only, against the
 # integer-numerator kernels

@@ -39,6 +39,7 @@ from albertson import (
     serialize_graph6,
     simplicial_vertices,
 )
+from albertson import cli
 from albertson.graph_lab import (
     _check_budget,
     _classes,
@@ -835,40 +836,20 @@ class TestGraph6:
 
 class TestBudgets:
     def test_chromatic_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=r"^chromatic_number budget is n <= 40, "
+                           r"got n=41; raise it via max_n or --budget coloring=<N>$"):
             chromatic_number(Graph(41, []))
 
     def test_chromatic_override(self):
         assert chromatic_number(Graph(41, []), max_n=50) == 1
 
     def test_subdivision_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=r"^subdivision budget is n <= 20, got "
+                           r"n=21; raise it via max_n or --budget subdivision=<N>$"):
             contains_topological_clique(Graph(21, []), 3)
 
     def test_subdivision_override(self):
         assert not contains_topological_clique(Graph(21, []), 3, max_n=25)
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("ALBERTSON_BUDGET", "coloring=10,subdivision=5")
-        with pytest.raises(BudgetExceededError):
-            chromatic_number(Graph(11, []))
-        with pytest.raises(BudgetExceededError):
-            contains_topological_clique(Graph(6, []), 3)
-        assert chromatic_number(Graph(10, [])) == 1
-
-    def test_env_var_malformed(self, monkeypatch):
-        monkeypatch.setenv("ALBERTSON_BUDGET", "coloring=lots")
-        with pytest.raises(ValueError):
-            chromatic_number(Graph(5, []))
-
-    @pytest.mark.parametrize("spec", ["colouring=3", "coloring=-5", "coloring=3,depth=2",
-                                      "coloring=50,coloring=10"])
-    def test_env_var_rejects_unknown_key_and_negative(self, monkeypatch, spec):
-        monkeypatch.setenv("ALBERTSON_BUDGET", spec)
-        with pytest.raises(ValueError, match="ALBERTSON_BUDGET"):
-            chromatic_number(Graph(5, []))
-        with pytest.raises(ValueError, match="ALBERTSON_BUDGET"):
-            contains_topological_clique(Graph(5, []), 3)
 
     @pytest.mark.parametrize("search", [
         lambda g: chromatic_number(g, max_n=g.vertex_count),
@@ -888,15 +869,26 @@ class TestBudgets:
         lambda g, max_n: find_topological_clique(g, 3, max_n=max_n),
     ], ids=["chromatic_number", "is_critical", "find_topological_clique"])
     def test_negative_max_n_is_rejected(self, search):
-        # as negative --budget and ALBERTSON_BUDGET values are, and before
-        # the graph is compared with it
+        # as a negative --budget value is, and before the graph is compared
+        # with it
         with pytest.raises(ValueError, match=r"^budget must be >= 0, got max_n=-1$"):
             search(Graph(0), -1)
         search(Graph(0), 0)
 
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("ALBERTSON_BUDGET", "coloring=10")
-        assert chromatic_number(Graph(11, []), max_n=12) == 1
+    def test_environment_changes_nothing(self, monkeypatch, capsys):
+        # the budgets come from the arguments alone, so no variable of the
+        # caller's environment can lower, raise or break them
+        def answers():
+            code = cli.run(["families", "--kind", "Delta", "--r", "5"])
+            return (chromatic_number(Graph(11)), contains_topological_clique(Graph(6), 3),
+                    is_critical(cycle_graph(7), 3), code, capsys.readouterr())
+
+        monkeypatch.delenv("ALBERTSON_BUDGET", raising=False)
+        expected = answers()
+        assert expected[:4] == (1, False, True, 0)
+        for spec in ("coloring=5,subdivision=5", "lots"):
+            monkeypatch.setenv("ALBERTSON_BUDGET", spec)
+            assert answers() == expected, spec
 
 
 @functools.cache
@@ -972,10 +964,7 @@ class TestRecordedChi:
         assert critical > 100
 
     def test_edge_colorings_match_a_fresh_copy(self):
-        # is_critical reaches _edge_colorings only for a graph with an edge
         for g, chi, _ in self._cases():
-            if not g.edge_count:
-                continue
             g = Graph(g.vertex_count, g.edges)
             fresh = Graph(g.vertex_count, g.edges)
             chromatic_number(g)
@@ -1023,14 +1012,10 @@ class TestRecordedChi:
         assert g._chi == 3 and not hasattr(g, "__dict__")
 
     @pytest.mark.parametrize("r", [2, 3, 4])
-    def test_budget_still_applies(self, monkeypatch, r):
+    def test_budget_still_applies(self, r):
         # C41 is 3-critical with n = 41, one over the default coloring budget
         g = cycle_graph(41)
         assert chromatic_number(g, max_n=50) == 3
-        monkeypatch.delenv("ALBERTSON_BUDGET", raising=False)
-        with pytest.raises(BudgetExceededError):
-            is_critical(g, r)
-        monkeypatch.setenv("ALBERTSON_BUDGET", "coloring=40")
         with pytest.raises(BudgetExceededError):
             is_critical(g, r)
         assert is_critical(g, r, max_n=50) == (r == 3)
