@@ -172,18 +172,22 @@ def _family_specs(args) -> list[FamilySpec]:
     from .graph_lab import FamilySpec, delta_splits, efamily_splits
 
     kind = FamilyKind(args.kind)
-    if kind is FamilyKind.CATLIN:
-        if args.k is None:
-            raise ValueError(f"{args.kind} needs --k")
-        return [FamilySpec(kind, (args.k,))]
-    if kind is FamilyKind.COMPLETE:
-        if args.n is None:
-            raise ValueError(f"{args.kind} needs --n")
-        return [FamilySpec(kind, (args.n,))]
+    # Catlin and Complete take one number; Delta and EFamily take --r or --sizes
+    one = {FamilyKind.CATLIN: "k", FamilyKind.COMPLETE: "n"}.get(kind)
+    takes = (one,) if one else ("r", "sizes")
+    given = [opt for opt in ("r", "sizes", "k", "n") if getattr(args, opt) is not None]
+    for opt in given:
+        if opt not in takes:
+            raise ValueError(f"{args.kind} does not take --{opt}")
+    if not given:
+        raise ValueError(f"{args.kind} needs "
+                         + (f"--{one}" if one else "--r (all splits) or --sizes (one split)"))
+    if len(given) > 1:
+        raise ValueError(f"{args.kind} takes --r or --sizes, not both")
+    if one:
+        return [FamilySpec(kind, (getattr(args, one),))]
     if args.sizes is not None:
         return [FamilySpec(kind, args.sizes)]
-    if args.r is None:
-        raise ValueError(f"{args.kind} needs --r (all splits) or --sizes (one split)")
     splits = delta_splits if kind is FamilyKind.DELTA else efamily_splits
     return list(splits(args.r))
 

@@ -14,6 +14,9 @@ Families:
               ceil(5k/2), the classical Hajós-conjecture counterexamples.
   Complete(n)  the complete graph.
 
+Each member is a clique on each part of its kind plus every edge between
+two linked parts, built from the kind's row of one table.
+
 A Graph stores adjacency bitmasks (bit v of masks[u] is the edge uv), and
 every algorithm below works on them; besides, once chromatic_number has run
 on it, it keeps the chi proved, a record that ==, hash and pickle ignore.
@@ -73,8 +76,9 @@ from __future__ import annotations
 
 import itertools
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .choices import FamilyKind
 from .errors import BudgetExceededError, Graph6Error, InapplicableRuleError
@@ -223,12 +227,13 @@ def join(g: Graph, h: Graph) -> Graph:
 class FamilySpec:
     """Construction recipe: part sizes for Delta (|A|, |B1|, |B2|) and
     EFamily (|A1|, |A2|, |B1|, |B2|), (k,) for Catlin and (n,) for
-    Complete."""
+    Complete.  Sizes that no member of the kind has raise ValueError at
+    construction, so every FamilySpec describes a graph."""
 
     kind: FamilyKind
-    sizes: tuple[int, ...] = ()
+    sizes: tuple[int, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         kind, sizes = self.kind, self.sizes
         if kind is FamilyKind.DELTA:
             if len(sizes) != 3 or any(s < 1 for s in sizes):
@@ -254,62 +259,40 @@ class FamilySpec:
     @property
     def r(self) -> int:
         """Intended chromatic number of the family member."""
-        if self.kind is FamilyKind.DELTA:
-            return self.sizes[0] + 2
-        if self.kind is FamilyKind.EFAMILY:
-            return self.sizes[0] + self.sizes[1] + 1
-        if self.kind is FamilyKind.CATLIN:
-            return -(-5 * self.sizes[0] // 2)
-        return max(self.sizes[0], 0)
+        return _FAMILIES[self.kind].chi(self.sizes)
+
+
+class _Family(NamedTuple):
+    parts: Callable[[Sequence[int]], Sequence[int]]  # part sizes, from the spec's sizes
+    links: tuple[tuple[int, int], ...]  # pairs of parts joined completely
+    chi: Callable[[Sequence[int]], int]  # chromatic number of a member
+
+
+# Every member is a clique on each part plus every edge between two linked
+# parts; its vertices are numbered part by part, in the order listed.
+_FAMILIES = {
+    # A, B1, B2, apex a, apex b: B = B1 u B2 a clique, a ~ A u B1, b ~ A u B2
+    FamilyKind.DELTA: _Family(lambda s: (*s, 1, 1), ((1, 2), (0, 3), (1, 3), (0, 4), (2, 4)),
+                              lambda s: s[0] + 2),
+    # A1, A2, B1, B2, apex c: cliques A1 u A2 and B1 u B2, c ~ A1 u B1, A2 x B2
+    FamilyKind.EFAMILY: _Family(lambda s: (*s, 1), ((0, 1), (2, 3), (0, 4), (2, 4), (1, 3)),
+                                lambda s: s[0] + s[1] + 1),
+    # five k-parts around a 5-cycle
+    FamilyKind.CATLIN: _Family(lambda s: 5 * (s[0],), ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)),
+                               lambda s: -(-5 * s[0] // 2)),
+    FamilyKind.COMPLETE: _Family(lambda s: s, (), lambda s: s[0]),
+}
 
 
 def build_family(spec: FamilySpec) -> Graph:
-    """Construct the graph a FamilySpec describes."""
-    spec.validate()
-    kind = spec.kind
-    if kind is FamilyKind.COMPLETE:
-        return complete_graph(spec.sizes[0])
-    if kind is FamilyKind.CATLIN:
-        return _catlin_graph(spec.sizes[0])
-    if kind is FamilyKind.DELTA:
-        return _delta_graph(*spec.sizes)
-    return _efamily_graph(*spec.sizes)
-
-
-def _delta_graph(a: int, b1: int, b2: int) -> Graph:
-    part_a = range(a)
-    part_b = range(a, a + b1 + b2)
-    part_b1 = range(a, a + b1)
-    part_b2 = range(a + b1, a + b1 + b2)
-    apex_a = a + b1 + b2
-    apex_b = apex_a + 1
-    edges = list(itertools.combinations(part_a, 2))
-    edges.extend(itertools.combinations(part_b, 2))
-    edges.extend((apex_a, v) for v in itertools.chain(part_a, part_b1))
-    edges.extend((apex_b, v) for v in itertools.chain(part_a, part_b2))
-    return Graph(apex_b + 1, edges)
-
-
-def _efamily_graph(a1: int, a2: int, b1: int, b2: int) -> Graph:
-    part_a1 = range(a1)
-    part_a2 = range(a1, a1 + a2)
-    part_b1 = range(a1 + a2, a1 + a2 + b1)
-    part_b2 = range(a1 + a2 + b1, a1 + a2 + b1 + b2)
-    apex_c = a1 + a2 + b1 + b2
-    edges = list(itertools.combinations(range(a1 + a2), 2))
-    edges.extend(itertools.combinations(range(a1 + a2, apex_c), 2))
-    edges.extend((apex_c, v) for v in itertools.chain(part_a1, part_b1))
-    edges.extend((u, v) for u in part_a2 for v in part_b2)
-    return Graph(apex_c + 1, edges)
-
-
-def _catlin_graph(k: int) -> Graph:
-    groups = [range(i * k, (i + 1) * k) for i in range(5)]
-    edges = []
-    for i in range(5):
-        edges.extend(itertools.combinations(groups[i], 2))
-        edges.extend((u, v) for u in groups[i] for v in groups[(i + 1) % 5])
-    return Graph(5 * k, edges)
+    """Construct the graph a FamilySpec describes: a clique on each part of
+    its kind, joined completely along the kind's links."""
+    family = _FAMILIES[spec.kind]
+    bounds = list(itertools.accumulate(family.parts(spec.sizes), initial=0))
+    parts = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    edges = [e for part in parts for e in itertools.combinations(part, 2)]
+    edges.extend((u, v) for i, j in family.links for u in parts[i] for v in parts[j])
+    return Graph(bounds[-1], edges)
 
 
 def delta_splits(r: int) -> tuple[FamilySpec, ...]:

@@ -212,6 +212,21 @@ class TestFamilies:
             code, out, err = invoke(capsys, "families", "--kind", kind)
             assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "Catlin", "--k", "2", "--r", "9", "--sizes", "1,2"], "Catlin does not take --r"),
+        (["--kind", "Catlin", "--k", "2", "--sizes", "1,2"], "Catlin does not take --sizes"),
+        (["--kind", "Catlin", "--k", "2", "--n", "5"], "Catlin does not take --n"),
+        (["--kind", "Complete", "--n", "5", "--k", "2"], "Complete does not take --k"),
+        (["--kind", "Complete", "--r", "5"], "Complete does not take --r"),
+        (["--kind", "Delta", "--r", "5", "--k", "2"], "Delta does not take --k"),
+        (["--kind", "EFamily", "--sizes", "2,2,2,2", "--n", "9"], "EFamily does not take --n"),
+        (["--kind", "Delta", "--r", "5", "--sizes", "3,1,3"], "Delta takes --r or --sizes, not both"),
+        (["--kind", "EFamily", "--r", "5", "--sizes", "2,2,2,2"],
+         "EFamily takes --r or --sizes, not both"),
+    ])
+    def test_rejects_options_the_kind_does_not_take(self, capsys, argv, message):
+        assert invoke(capsys, "families", *argv) == (2, "", f"error: {message}\n")
+
     def test_invalid_sizes(self, capsys):
         assert invoke(capsys, "families", "--kind", "Delta",
                       "--sizes", "2,1,1")[0] == 2

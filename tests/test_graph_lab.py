@@ -333,28 +333,86 @@ class TestFamilies:
         assert wheel.vertex_count == 6
         assert chromatic_number(wheel) == 4
 
-    def test_validate_rejects_bad_delta(self):
+    def test_constructor_rejects_bad_delta(self):
         with pytest.raises(ValueError):
-            FamilySpec(FamilyKind.DELTA, sizes=(2, 1, 1)).validate()
+            FamilySpec(FamilyKind.DELTA, sizes=(2, 1, 1))
 
-    def test_validate_rejects_empty_part(self):
+    def test_constructor_rejects_empty_part(self):
         for kind, sizes, message in (
                 (FamilyKind.DELTA, (2, 0, 3), "Delta needs three positive sizes"),
                 (FamilyKind.CATLIN, (0,), "Catlin needs one size k >= 1"),
                 (FamilyKind.COMPLETE, (-1,), "Complete needs one size n >= 0")):
             with pytest.raises(ValueError) as exc:
-                FamilySpec(kind, sizes).validate()
+                FamilySpec(kind, sizes)
             assert str(exc.value).startswith(message)
 
-    def test_validate_rejects_bad_efamily(self):
+    def test_constructor_rejects_bad_efamily(self):
         for sizes, message in (
                 # |A2| + |B2| must stay below r = |A1|+|A2|+1
                 ((1, 3, 1, 3), "EFamily needs |A2|+|B2| <= r-1"),
                 ((2, 2, 2), "EFamily needs four positive sizes"),
                 ((2, 2, 1, 2), "EFamily needs |A1|+|A2| = |B1|+|B2|")):
             with pytest.raises(ValueError) as exc:
-                FamilySpec(FamilyKind.EFAMILY, sizes).validate()
+                FamilySpec(FamilyKind.EFAMILY, sizes)
             assert str(exc.value).startswith(message)
+
+    def test_sizes_are_required(self):
+        with pytest.raises(TypeError):
+            FamilySpec(FamilyKind.COMPLETE)
+
+    def test_table_matches_the_hand_written_builders(self):
+        # the builders and the chi that one clique blow-up per table row replaced
+        def delta_graph(a, b1, b2):
+            part_a = range(a)
+            part_b = range(a, a + b1 + b2)
+            part_b1 = range(a, a + b1)
+            part_b2 = range(a + b1, a + b1 + b2)
+            apex_a = a + b1 + b2
+            apex_b = apex_a + 1
+            edges = list(itertools.combinations(part_a, 2))
+            edges.extend(itertools.combinations(part_b, 2))
+            edges.extend((apex_a, v) for v in itertools.chain(part_a, part_b1))
+            edges.extend((apex_b, v) for v in itertools.chain(part_a, part_b2))
+            return Graph(apex_b + 1, edges)
+
+        def efamily_graph(a1, a2, b1, b2):
+            part_a1 = range(a1)
+            part_a2 = range(a1, a1 + a2)
+            part_b1 = range(a1 + a2, a1 + a2 + b1)
+            part_b2 = range(a1 + a2 + b1, a1 + a2 + b1 + b2)
+            apex_c = a1 + a2 + b1 + b2
+            edges = list(itertools.combinations(range(a1 + a2), 2))
+            edges.extend(itertools.combinations(range(a1 + a2, apex_c), 2))
+            edges.extend((apex_c, v) for v in itertools.chain(part_a1, part_b1))
+            edges.extend((u, v) for u in part_a2 for v in part_b2)
+            return Graph(apex_c + 1, edges)
+
+        def catlin_graph(k):
+            groups = [range(i * k, (i + 1) * k) for i in range(5)]
+            edges = []
+            for i in range(5):
+                edges.extend(itertools.combinations(groups[i], 2))
+                edges.extend((u, v) for u in groups[i] for v in groups[(i + 1) % 5])
+            return Graph(5 * k, edges)
+
+        def chi(spec):
+            if spec.kind is FamilyKind.DELTA:
+                return spec.sizes[0] + 2
+            if spec.kind is FamilyKind.EFAMILY:
+                return spec.sizes[0] + spec.sizes[1] + 1
+            if spec.kind is FamilyKind.CATLIN:
+                return -(-5 * spec.sizes[0] // 2)
+            return max(spec.sizes[0], 0)
+
+        cases = [(spec, delta_graph(*spec.sizes)) for r in range(3, 13) for spec in delta_splits(r)]
+        cases += [(spec, efamily_graph(*spec.sizes)) for r in range(3, 13)
+                  for spec in efamily_splits(r)]
+        cases += [(FamilySpec(FamilyKind.CATLIN, (k,)), catlin_graph(k)) for k in range(1, 9)]
+        cases += [(FamilySpec(FamilyKind.COMPLETE, (n,)), complete_graph(n)) for n in range(13)]
+        for spec, expected in cases:
+            g = build_family(spec)
+            assert (g.vertex_count, g.masks, spec.r) == (expected.vertex_count, expected.masks,
+                                                         chi(spec)), spec
 
     @pytest.mark.parametrize("build, message", [
         (cycle_graph, "cycle needs n >= 3, got 2"),
@@ -641,6 +699,11 @@ class TestTopologicalClique:
         assert w.verify(g) and pair in dict(w.paths)
         paths = tuple((p, path if p == pair else old) for p, old in w.paths)
         assert not dataclasses.replace(w, paths=paths).verify(g)
+
+    @pytest.mark.parametrize("v", [-1, 4], ids=["vertex -1", "vertex n"])
+    def test_witness_verify_rejects_branch_vertex_out_of_range(self, v):
+        # a TK_1 has no paths, so only the range check sees its branch vertex
+        assert not SubdivisionWitness(t=1, branch_vertices=(v,), paths=()).verify(cycle_graph(4))
 
     def test_presence_needs_a_verified_witness(self, monkeypatch):
         g = cycle_graph(4)
