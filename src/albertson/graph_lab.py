@@ -25,9 +25,11 @@ Algorithms are exact and budget-guarded: chromatic number and criticality
 (below), simplicial counts in the degree-(n-1) sense, complement structure
 (components, triangles, and a maximum matching by the in-repo Edmonds blossom
 algorithm), and subdivision containment (topological K_t) by a branch-vertex
-recursion with a private-vertex count, which charges two private vertices
-to a pair whose ends share no neighbor off the set, then depth-first
-routing of chordless paths on bitmasks with reachability forward checks.
+recursion that takes each class of twins (equal closed or equal open
+neighborhoods) as a prefix in label order and cuts by a private-vertex
+count, which charges two private vertices to a pair whose ends share no
+neighbor off the set, then depth-first routing of chordless paths on
+bitmasks with reachability forward checks.
 Budgets default to n <= 40 for coloring and n <= 20 for subdivision search
 and can be raised per call (max_n) or per command (--budget, e.g.
 "coloring=50,subdivision=24"); nothing else sets them, so every search
@@ -227,14 +229,16 @@ def join(g: Graph, h: Graph) -> Graph:
 class FamilySpec:
     """Construction recipe: part sizes for Delta (|A|, |B1|, |B2|) and
     EFamily (|A1|, |A2|, |B1|, |B2|), (k,) for Catlin and (n,) for
-    Complete.  Sizes that no member of the kind has raise ValueError at
+    Complete.  A kind's value ("Delta") stands for its member.  Any other
+    kind, or sizes that no member of the kind has, raise ValueError at
     construction, so every FamilySpec describes a graph."""
 
     kind: FamilyKind
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        kind, sizes = self.kind, self.sizes
+        kind, sizes = FamilyKind(self.kind), self.sizes
+        object.__setattr__(self, "kind", kind)
         if kind is FamilyKind.DELTA:
             if len(sizes) != 3 or any(s < 1 for s in sizes):
                 raise ValueError("Delta needs three positive sizes (|A|, |B1|, |B2|)")
@@ -867,7 +871,22 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
     The count of (a) and (c) is thus a lower bound on the internal vertices
     of any system of paths for any full set above the partial one, and a set
     it cuts would fail routing below: the cut drops no set that routing
-    could complete, and the first witness found stays the same.
+    could complete, and the first witness found stays the same.  A fourth
+    prune breaks symmetry:
+
+      (d) twins are vertices with the same closed neighborhood (true twins)
+          or the same open one (false twins); swapping two of them is an
+          automorphism that fixes every other vertex.  A candidate whose
+          next lower twin is not in the set is skipped, so each twin class
+          enters as a prefix in label order, which is also candidate order,
+          since twins have equal degree.  Full sets are met in
+          lexicographic order of candidate index, and the least one that
+          routes is a prefix set: otherwise swapping a member for a lower
+          twin off the set would give an earlier one that routes too.  So
+          the first witness stays the same.  No vertex has twins of both
+          kinds (if u, v are true twins and u, w false twins, then w is in
+          N(v), within N[u], so w is in N(u) = N(w)), so one next-lower-twin
+          bit per vertex suffices.
 
     On a full branch set each open pair is first checked for a path through
     the free vertices, by a breadth-first search over bitmasks.  Then the
@@ -893,6 +912,13 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
     candidates = sorted((v for v in range(n) if adj[v].bit_count() >= t - 1),
                         key=lambda v: (-adj[v].bit_count(), v))
     free_all = (1 << n) - 1
+    # twin[v]: the bit of v's next lower twin, 0 if it has none
+    twin, last_closed, last_open = [0] * n, {}, {}
+    for v, mask in enumerate(adj):
+        for last, key in ((last_closed, mask | 1 << v), (last_open, mask)):
+            if key in last:
+                twin[v] = 1 << last[key]
+            last[key] = v
 
     def choose(start: int, branch: int, size: int, private_need: int) -> SubdivisionWitness | None:
         if size == t:
@@ -910,6 +936,8 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
                                       paths=tuple((pair, system.get(pair, pair)) for pair in pairs))
         for i in range(start, len(candidates) - (t - size) + 1):
             v = candidates[i]
+            if twin[v] & ~branch:
+                continue
             need = private_need + size - (adj[v] & branch).bit_count()
             # a new open pair with no common neighbor off the set has no path
             # of length 2 in any set above this one: two private vertices

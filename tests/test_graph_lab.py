@@ -360,6 +360,19 @@ class TestFamilies:
         with pytest.raises(TypeError):
             FamilySpec(FamilyKind.COMPLETE)
 
+    def test_kind_value_names_its_member(self):
+        # the value string is coerced to the member, so its sizes are checked too
+        for kind, sizes in ((FamilyKind.DELTA, (2, 1, 2)), (FamilyKind.EFAMILY, (1, 2, 2, 1)),
+                            (FamilyKind.CATLIN, (2,)), (FamilyKind.COMPLETE, (4,))):
+            spec = FamilySpec(kind.value, sizes)
+            assert spec.kind is kind and spec == FamilySpec(kind, sizes)
+            assert spec.r == FamilySpec(kind, sizes).r
+            assert build_family(spec) == build_family(FamilySpec(kind, sizes))
+        with pytest.raises(ValueError, match="Delta needs"):
+            FamilySpec("Delta", (2, 1, 1))
+        with pytest.raises(ValueError, match="'Bogus' is not a valid FamilyKind"):
+            FamilySpec("Bogus", (1,))
+
     def test_table_matches_the_hand_written_builders(self):
         # the builders and the chi that one clique blow-up per table row replaced
         def delta_graph(a, b1, b2):
@@ -644,6 +657,14 @@ class TestComplementAnalysis:
             assert complement_analysis(g).max_matching == expected
 
 
+CATLIN_TK_CHI = """
+from albertson import FamilyKind, FamilySpec, build_family, find_topological_clique
+for k in range(4, 9):
+    g = build_family(FamilySpec(FamilyKind.CATLIN, (k,)))
+    print(k, find_topological_clique(g, -(-5 * k // 2), max_n=5 * k))
+"""
+
+
 class TestTopologicalClique:
     def test_cycle_contains_k3(self):
         assert contains_topological_clique(cycle_graph(4), 3)
@@ -748,8 +769,18 @@ class TestTopologicalClique:
         assert w.branch_vertices == tuple(range(t))
 
     def test_catlin4_has_no_topological_k10(self):
-        # chi(Catlin(4)) = 10; decided by the private-vertex count in well under a second
+        # chi(Catlin(4)) = 10; its five 4-cliques are twin classes, each taken as a prefix
         assert find_topological_clique(build_family(FamilySpec(FamilyKind.CATLIN, (4,))), 10) is None
+
+    def test_catlin_tk_chi_is_refuted(self, child_env):
+        # chi(Catlin(k)) = ceil(5k/2) with no topological K_chi (Catlin 1979); each of
+        # the five k-cliques is a twin class, and a search that tries every order of
+        # each class takes seconds at k = 6 and minutes at k = 8; a child process
+        # lets the timeout stop it
+        proc = subprocess.run([sys.executable, "-c", CATLIN_TK_CHI], env=child_env,
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"{k} None" for k in range(4, 9)]
 
     def test_catlin2_has_topological_k5(self):
         g = build_family(FamilySpec(FamilyKind.CATLIN, (2,)))
@@ -1370,10 +1401,11 @@ class TestKernelIdentity:
 
 # Reference subdivision search: graph_lab's SubdivisionWitness.verify,
 # _reaches, _route and find_topological_clique as they were before the
-# search walked set bits inline and sharpened its private-vertex count, copied
-# statement for statement in the same way as the kernels above.  The search
-# must find exactly the witness these find, in no more calls of choose, and
-# verify must accept exactly the witnesses the reference accepts.
+# search walked set bits inline, sharpened its private-vertex count and took
+# twin classes as prefixes, copied statement for statement in the same way
+# as the kernels above.  The search must find exactly the witness these
+# find, in no more calls of choose, and verify must accept exactly the
+# witnesses the reference accepts.
 
 
 def _ref_verify(self, g):
@@ -1477,8 +1509,8 @@ def _ref_find_topological_clique(g, t, max_n=None):
     return _run_search("subdivision", choose, 0, 0, 0, 0)
 
 
-def _witness_and_nodes(find, g, t):
-    """find(g, t) and the number of search nodes (calls of its nested
+def _witness_and_nodes(find, g, t, max_n=None):
+    """find(g, t, max_n) and the number of search nodes (calls of its nested
     choose) it took, counted by a call-only trace."""
     nodes = 0
 
@@ -1489,10 +1521,41 @@ def _witness_and_nodes(find, g, t):
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        witness = find(g, t)
+        witness = find(g, t, max_n)
     finally:
         sys.settrace(previous)
     return witness, nodes
+
+
+def _branch_sets(find, g, t):
+    """The partial branch sets, as bitmasks, with which find(g, t) calls its
+    nested choose, in call order."""
+    sets = []
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_name == "choose":
+            sets.append(frame.f_locals["branch"])
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        find(g, t)
+    finally:
+        sys.settrace(previous)
+    return sets
+
+
+def _twin_blowup(rng):
+    """A random graph on at most 6 vertices with each vertex blown up into a
+    clique or an independent set of 1-3 vertices, so that true and false
+    twins abound, then relabelled."""
+    base = _random_graph(rng, rng.randint(1, 6), rng.random())
+    bounds = list(itertools.accumulate((rng.randint(1, 3) for _ in range(base.vertex_count)),
+                                       initial=0))
+    parts = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    edges = [e for part in parts if rng.random() < 0.5 for e in itertools.combinations(part, 2)]
+    edges += [(x, y) for u, v in base.edges for x in parts[u] for y in parts[v]]
+    return _relabel(Graph(bounds[-1], edges), rng)
 
 
 def _tamperings(w, g, rng):
@@ -1533,12 +1596,12 @@ def _tamperings(w, g, rng):
         yield dataclasses.replace(w, branch_vertices=tuple(branch))
 
 
-def _assert_search_matches(g, t, rng):
+def _assert_search_matches(g, t, rng, max_n=None):
     """Same witness as the reference in no more nodes, and verify agrees with
     the reference on it and on its tamperings; returns (witness, nodes,
     reference nodes, tamperings rejected)."""
-    witness, nodes = _witness_and_nodes(find_topological_clique, g, t)
-    expected, ref_nodes = _witness_and_nodes(_ref_find_topological_clique, g, t)
+    witness, nodes = _witness_and_nodes(find_topological_clique, g, t, max_n)
+    expected, ref_nodes = _witness_and_nodes(_ref_find_topological_clique, g, t, max_n)
     assert witness == expected, (g.masks, t)
     assert nodes <= ref_nodes, (g.masks, t)
     rejected = 0
@@ -1552,10 +1615,11 @@ def _assert_search_matches(g, t, rng):
 
 
 class TestSubdivisionIdentity:
-    """The inline bit walks, the bitmask witness check and the count of two
-    private vertices for a pair without a common neighbor change no answer:
-    the same first witness as the reference search, never more search nodes,
-    and the same verify verdict on every witness and every tampering of it."""
+    """The inline bit walks, the bitmask witness check, the count of two
+    private vertices for a pair without a common neighbor and taking each
+    twin class as a prefix change no answer: the same first witness as the
+    reference search, never more search nodes, and the same verify verdict
+    on every witness and every tampering of it."""
 
     def test_random_graphs(self):
         rng = random.Random(0x1F17)
@@ -1577,11 +1641,50 @@ class TestSubdivisionIdentity:
                   (_petersen(), 4), (_petersen(), 5)]
         # "no" answers that charging two for a pair without a common neighbor must shorten
         must_cut = {(catlin(3), 8), (_icosahedron(), 6)}
+        # TK_chi "no" answers whose five k-cliques are twin classes taken as prefixes
+        catlin_chi = [(catlin(k), -(-5 * k // 2)) for k in (4, 5, 6)]
+        cases += catlin_chi
+        must_cut |= set(catlin_chi)
         cut = 0
         for g, t in cases:
-            _, nodes, ref_nodes, _ = _assert_search_matches(_relabel(g, rng), t, rng)
+            _, nodes, ref_nodes, _ = _assert_search_matches(_relabel(g, rng), t, rng,
+                                                            max_n=g.vertex_count)
             cut += nodes < ref_nodes
             if (g, t) in must_cut:
                 assert nodes < ref_nodes, (t, nodes, ref_nodes)
         assert cut > 0
         assert must_cut <= set(cases)
+
+    def test_twin_blowups(self):
+        rng = random.Random(0x1F24)
+        found = cut = rejected = 0
+        for _ in range(300):
+            g = _twin_blowup(rng)
+            for t in range(1, 8):
+                witness, nodes, ref_nodes, bad = _assert_search_matches(g, t, rng)
+                found += witness is not None
+                cut += nodes < ref_nodes
+                rejected += bad
+        assert found > 500 and cut > 20 and rejected > 1000
+
+    def test_branch_sets_are_twin_prefixes(self):
+        # every partial branch set that the search reaches holds, with each of
+        # its vertices, all the lower twins of that vertex; the reference
+        # search reaches other sets too
+        def prefixes_only(find, g, t):
+            masks = g.masks
+            lower = [[u for u in range(v) if masks[u] | 1 << u == masks[v] | 1 << v
+                      or masks[u] == masks[v]] for v in range(g.vertex_count)]
+            return all(branch >> u & 1 for branch in _branch_sets(find, g, t)
+                       for v in range(g.vertex_count) if branch >> v & 1 for u in lower[v])
+
+        rng = random.Random(0x1F25)
+        other = 0
+        for _ in range(100):
+            g = _twin_blowup(rng)
+            for t in range(1, 8):
+                assert prefixes_only(find_topological_clique, g, t), (g.masks, t)
+                other += not prefixes_only(_ref_find_topological_clique, g, t)
+        assert other > 10
+        catlin4 = _relabel(build_family(FamilySpec(FamilyKind.CATLIN, (4,))), rng)
+        assert prefixes_only(find_topological_clique, catlin4, 10)
