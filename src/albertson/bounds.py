@@ -19,8 +19,8 @@ count, i.e. ceil((r-2)/2) extra edges.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InapplicableRuleError
 
@@ -34,23 +34,32 @@ class Rule(Enum):
     JOIN_REFINED = "JoinRefined"
 
 
-@dataclass(frozen=True)
-class CriticalParams:
-    """Parameters of an r-critical graph under study: target chromatic
-    number r and vertex count n."""
-
+class _CriticalFields(NamedTuple):
     r: int
     n: int
 
-    def __post_init__(self):
+
+class CriticalParams(_CriticalFields):
+    """Parameters of an r-critical graph under study: target chromatic
+    number r and vertex count n."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.r < 4:
             raise ValueError(f"r must be >= 4, got {self.r}")
         if self.n < self.r:
             raise ValueError(f"n must be >= r, got n={self.n}, r={self.r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so a replaced record is checked too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class EdgeBound:
+class EdgeBound(NamedTuple):
     """A certified lower bound on the edge count of an r-critical graph with
     no topological K_r, together with the rule that produced it."""
 

@@ -15,21 +15,27 @@ printed as an exact rational with a 4-decimal rendering alongside.
 
 Each subcommand imports the modules it runs inside its own function, so a
 call loads only those: `edges` loads `bounds` alone, and only `families` and
-`check-list` load `graph_lab`.
+`check-list` load `graph_lab`.  The same holds for the standard library:
+only the helpers that print or parse a rational import `fractions`, and
+only the structured report format imports `json`, so `edges`, `families`
+and `check-list` load no `fractions`.  The package defines its records as
+NamedTuples and slotted classes, so no command loads `dataclasses`.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .choices import FamilyKind, ReportFormat, RuleId
 from .errors import AlbertsonError, BudgetExceededError, Graph6Error, InapplicableRuleError
 
 
-def _rational(x) -> str:
-    x = Fraction(x)
+def _rational(x, den: int = 1) -> str:
+    """x/den exactly, with a 4-decimal rendering unless it is an integer."""
+    from fractions import Fraction
+
+    x = Fraction(x, den)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x} ({float(x):.4f})"
@@ -40,6 +46,8 @@ def _yes(flag: bool) -> str:
 
 
 def _fraction_arg(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -122,7 +130,7 @@ def _cmd_bound(args) -> int:
         elif m >= 1:
             p = optimize_p(n, m)
         else:
-            p = Fraction(1)
+            p = 1
         prob = cr_nmp(n, m, p)
         lines.append(f"p: {_rational(p)}")
         lines.append(f"probabilistic: {prob.value} (raw {_rational(prob.raw)})")
@@ -147,7 +155,7 @@ def _cmd_lemma357(args) -> int:
 
     result = lemma357_check(args.r)
     print(f"r = {args.r}, n range [{result.n_lo}, {result.n_hi}], "
-          f"target {_rational(Fraction(args.r * (args.r-1) * (args.r-2) * (args.r-3), 64))}")
+          f"target {_rational(args.r * (args.r-1) * (args.r-2) * (args.r-3), 64)}")
     print(f"minimal margin: {_rational(result.min_margin)} at n = {result.argmin_n}")
     print(f"holds: {_yes(result.ok)}")
     return 0 if result.ok else 1

@@ -62,9 +62,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .choices import RuleId
 from .errors import InapplicableRuleError
@@ -72,8 +72,7 @@ from .errors import InapplicableRuleError
 _F = Fraction
 
 
-@dataclass(frozen=True)
-class LinearRule:
+class LinearRule(NamedTuple):
     """One inequality cr(G) >= a*m - b*(n-2)."""
 
     a: Fraction
@@ -103,8 +102,7 @@ class MethodKind(Enum):
     COUNTING = "counting"
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(NamedTuple):
     """Provenance of a crossing lower bound: which inequality, which p/s."""
 
     kind: MethodKind
@@ -135,34 +133,65 @@ def _linear_sixfold(n: int, m: int, entry: tuple[int, int, Method]) -> int:
     return a6 * m - b6 * (n - 2)
 
 
-@dataclass(frozen=True, init=False)
+_set = object.__setattr__
+
+
 class CrossingLowerBound:
     """An integer lower bound on cr(G) with its exact pre-ceiling value and
     full provenance.
 
     The kernels pass `raw` as the unreduced integer pair (num, den); it is
     reduced to a Fraction on first read, so a caller that reads only `value`
-    pays no gcd.
+    pays no gcd.  Immutable: ==, hash, repr, pickle, `_asdict` and
+    `_replace` read the fields in `_fields` order, raw reduced.
     """
 
-    value: int
-    # dataclass records the raw property below as this field's default;
-    # with init=False nothing reads it
-    raw: Fraction
-    method: Method
+    __slots__ = ("value", "_raw", "method")
+    _fields = ("value", "raw", "method")
 
     def __init__(self, value: int, raw: Fraction | tuple[int, int], method: Method):
-        # written to the instance dict: the frozen __setattr__ refuses, and
-        # the raw property has no setter
-        state = self.__dict__
-        state["value"], state["raw"], state["method"] = value, raw, method
+        # the slots are written directly, as __setattr__ refuses
+        _set(self, "value", value)
+        _set(self, "_raw", raw)
+        _set(self, "method", method)
 
     @property
     def raw(self) -> Fraction:
-        raw = self.__dict__["raw"]
+        raw = self._raw
         if type(raw) is tuple:
-            raw = self.__dict__["raw"] = _F(*raw)
+            raw = _F(*raw)
+            _set(self, "_raw", raw)
         return raw
+
+    def _key(self) -> tuple[int, Fraction, Method]:
+        return self.value, self.raw, self.method
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._key()))
+
+    def _replace(self, **changes) -> CrossingLowerBound:
+        return CrossingLowerBound(**{**self._asdict(), **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "CrossingLowerBound(" + ", ".join(
+            f"{name}={value!r}" for name, value in self._asdict().items()) + ")"
+
+    def __reduce__(self):
+        return CrossingLowerBound, self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _bound_value(num: int, den: int) -> int:
@@ -175,16 +204,26 @@ def _clamp_ceil(num: int, den: int, method: Method) -> CrossingLowerBound:
     return CrossingLowerBound(_bound_value(num, den), (num, den), method)
 
 
-@dataclass(frozen=True)
-class SamplingParams:
+class _SamplingFields(NamedTuple):
+    s: int
+    base: LinearRule = RULE_BY_ID[RuleId.EQ4]
+
+
+class SamplingParams(_SamplingFields):
     """Sample size and base inequality for the counting bound."""
 
-    s: int
-    base: LinearRule = field(default=RULE_BY_ID[RuleId.EQ4])
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.s < 5:
             raise ValueError(f"sample size must be >= 5, got {self.s}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so a replaced record is checked too
+        return cls(*iterable)
 
 
 def _check_edge_count(m: int) -> None:

@@ -79,7 +79,6 @@ from __future__ import annotations
 import itertools
 import sys
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .choices import FamilyKind
@@ -136,7 +135,6 @@ def _run_search(kind: str, search, *args):
                                   f"{sys.getrecursionlimit()}") from None
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class Graph:
     """Immutable simple graph on vertices 0..vertex_count-1, stored as
     adjacency bitmasks; the edges (u < v) derive from them.
@@ -145,8 +143,7 @@ class Graph:
     and criticality reads it.  ==, hash, repr, pickle and copy ignore it."""
 
     __slots__ = ("vertex_count", "masks", "_chi")
-    vertex_count: int
-    masks: tuple[int, ...]
+    _fields = ("vertex_count", "masks")
 
     def __init__(self, vertex_count: int, edges=()):
         if vertex_count < 0:
@@ -165,12 +162,26 @@ class Graph:
         return self.vertex_count, self.masks
 
     def __setstate__(self, state: tuple[int, tuple[int, ...]]) -> None:
-        # the frozen __setattr__ refuses, so the slots are written directly;
-        # chi stays unknown until chromatic_number proves it
+        # __setattr__ refuses, so the slots are written directly; chi stays
+        # unknown until chromatic_number proves it
         vertex_count, masks = state
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "_chi", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.masks == other.masks
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.masks))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -225,20 +236,22 @@ def join(g: Graph, h: Graph) -> Graph:
 # families
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _FamilyFields(NamedTuple):
+    kind: FamilyKind
+    sizes: tuple[int, ...]
+
+
+class FamilySpec(_FamilyFields):
     """Construction recipe: part sizes for Delta (|A|, |B1|, |B2|) and
     EFamily (|A1|, |A2|, |B1|, |B2|), (k,) for Catlin and (n,) for
     Complete.  A kind's value ("Delta") stands for its member.  Any other
     kind, or sizes that no member of the kind has, raise ValueError at
     construction, so every FamilySpec describes a graph."""
 
-    kind: FamilyKind
-    sizes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        kind, sizes = FamilyKind(self.kind), self.sizes
-        object.__setattr__(self, "kind", kind)
+    def __new__(cls, kind: FamilyKind | str, sizes: tuple[int, ...]) -> FamilySpec:
+        kind = FamilyKind(kind)
         if kind is FamilyKind.DELTA:
             if len(sizes) != 3 or any(s < 1 for s in sizes):
                 raise ValueError("Delta needs three positive sizes (|A|, |B1|, |B2|)")
@@ -259,6 +272,12 @@ class FamilySpec:
         elif kind is FamilyKind.COMPLETE:
             if len(sizes) != 1 or sizes[0] < 0:
                 raise ValueError("Complete needs one size n >= 0")
+        return super().__new__(cls, kind, sizes)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so a replaced record is checked too
+        return cls(*iterable)
 
     @property
     def r(self) -> int:
@@ -617,8 +636,7 @@ def gallai_simplicial_check(g: Graph, r: int) -> bool:
     return len(simplicial_vertices(g)) >= need
 
 
-@dataclass(frozen=True)
-class ComplementAnalysis:
+class ComplementAnalysis(NamedTuple):
     components: int
     max_matching: int
     has_triangle: bool
@@ -743,8 +761,7 @@ def _max_matching(adj: Sequence[int]) -> list[int]:
 # topological cliques
 
 
-@dataclass(frozen=True)
-class SubdivisionWitness:
+class SubdivisionWitness(NamedTuple):
     """A topological K_t: branch vertices plus one path per pair, pairwise
     internally disjoint."""
 

@@ -30,10 +30,8 @@ Catlin-family comparison 2Z(2k) + Z(k) + 3cr(K_{k,k}) > Z(ceil(5k/2)).
 from __future__ import annotations
 
 import functools
-import json
 import math
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -62,8 +60,7 @@ class Verdict(Enum):
     GAPS_REMAIN = "GapsRemain"
 
 
-@dataclass(frozen=True)
-class CaseRow:
+class CaseRow(typing.NamedTuple):
     """One order n of the case analysis: edge bound, linear bound, and the
     probabilistic bound at the chosen p, against the target Z(r)."""
 
@@ -76,8 +73,7 @@ class CaseRow:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class TailCertificate:
+class TailCertificate(typing.NamedTuple):
     """Finite certificate that the bound holds for every n >= n0.
 
     valid requires (a) slope > 0, (b) the tail term decreasing at n0, i.e.
@@ -103,8 +99,7 @@ class TailCertificate:
         return self.slope * self.n0 + self.intercept - self.tail_term_at_n0
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(typing.NamedTuple):
     """Full outcome for one r: rows for the middle orders, the tail
     certificate, the unresolved orders, and the verdict."""
 
@@ -114,7 +109,7 @@ class VerificationReport:
     tail: TailCertificate
     gaps: tuple[int, ...]
     verdict: Verdict
-    refined_rows: tuple[CaseRow, ...] = field(default=())
+    refined_rows: tuple[CaseRow, ...] = ()
 
 
 # Rule used for the tables' linear column: inequality (4) up to r = 15, then
@@ -303,8 +298,7 @@ def compare_with_reference(report: VerificationReport) -> tuple[str, ...]:
 # sweeps
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(typing.NamedTuple):
     """Outcome of an exact sweep over a range of orders, with the worst
     margin and where it occurs.  Truthy iff the sweep succeeded."""
 
@@ -363,8 +357,7 @@ def remark2_check(r: int) -> SweepResult:
                        min_margin=margin, argmin_n=n_lo)
 
 
-@dataclass(frozen=True)
-class CatlinRow:
+class CatlinRow(typing.NamedTuple):
     """L(k) = 2Z(2k) + Z(k) + 3 cr(K_{k,k}) against R(k) = Z(ceil(5k/2));
     holds means L(k) > R(k), i.e. the Catlin graph C_5^k beats the
     Albertson target at this k given the conjectured complete and complete
@@ -376,8 +369,7 @@ class CatlinRow:
     holds: bool
 
 
-@dataclass(frozen=True)
-class CatlinReport:
+class CatlinReport(typing.NamedTuple):
     k_max: int
     lower_coefficient: Fraction  # k^4 coefficient of L(k)
     upper_coefficient: Fraction  # k^4 coefficient of R(k)
@@ -469,16 +461,17 @@ def _render_csv(report: VerificationReport) -> str:
 @functools.cache
 def _codec(kind):
     """(encode, decode) between a report field type and its json form: a
-    report dataclass maps to a dict of its fields, a tuple to a list, a
-    Fraction to its str and an enum to its value.  None stands for a value
-    that json writes or reads as it is."""
+    report record (a NamedTuple) maps to a dict of its `_fields`, a tuple to
+    a list, a Fraction to its str and an enum to its value.  None stands for
+    a value that json writes or reads as it is."""
     if typing.get_origin(kind) is tuple:
         enc, dec = _codec(typing.get_args(kind)[0])
         return (None if enc is None else lambda items: [enc(item) for item in items],
                 tuple if dec is None else lambda docs: tuple(map(dec, docs)))
-    if is_dataclass(kind):
+    names = getattr(kind, "_fields", None)
+    if names is not None:
         hints = typing.get_type_hints(kind)
-        plan = [(f.name, *_codec(hints[f.name])) for f in fields(kind)]
+        plan = [(name, *_codec(hints[name])) for name in names]
         # decoding reads every field (a missing key raises KeyError) and
         # ignores any other key
         return (lambda obj: {name: getattr(obj, name) if enc is None else enc(getattr(obj, name))
@@ -493,6 +486,8 @@ def _codec(kind):
 
 
 def _render_structured(report: VerificationReport) -> str:
+    import json  # here, so that the other formats load no json
+
     return json.dumps(_codec(VerificationReport)[0](report), indent=2, sort_keys=True)
 
 
@@ -509,4 +504,6 @@ def render_report(report: VerificationReport, format: ReportFormat | str) -> str
 def parse_report(text: str) -> VerificationReport:
     """Inverse of the structured rendering: parse_report(render_report(x,
     'structured')) == x."""
+    import json
+
     return _codec(VerificationReport)[1](json.loads(text))

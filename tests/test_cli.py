@@ -370,30 +370,49 @@ class TestClosedStdout:
         assert (proc.returncode, proc.stderr) == (1, b"")
 
 
-# runs one command and prints its exit status and the package modules loaded
+# runs one command and prints its exit status and every module loaded; the
+# snapshot is taken before the script itself imports json
 LOADED_MODULES = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from albertson.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     status = run(sys.argv[1:])
-print(json.dumps([status, sorted(name for name in sys.modules if name.startswith("albertson."))]))
+loaded = sorted(sys.modules)
+import json
+print(json.dumps([status, loaded]))
 """
 
+# the records are NamedTuples and slotted classes: no command pays for
+# dataclasses, which imports inspect
+NEVER_LOADED = {"dataclasses", "inspect"}
 
-# argv, exit status, a module the command runs, modules it must not load
+# argv, exit status, a module the command runs, modules it must not load:
+# only the structured report format loads json, and only a command that
+# computes or prints a rational loads fractions
 PER_COMMAND = [
-    (["verify", "--r", "17"], 1, "verifier", {"graph_lab"}),
-    (["table", "--r", "13"], 0, "verifier", {"graph_lab"}),
-    (["lemma357", "--r", "20"], 0, "verifier", {"graph_lab"}),
-    (["catlin", "--k", "12"], 1, "verifier", {"graph_lab"}),
-    (["edges", "--r", "13", "--n", "20"], 0, "bounds", {"crossing", "verifier", "graph_lab"}),
-    (["bound", "--n", "20", "--m", "100"], 0, "crossing", {"verifier", "graph_lab"}),
+    (["verify", "--r", "17"], 1, "verifier", {"albertson.graph_lab", "json"}),
+    (["table", "--r", "13"], 0, "verifier", {"albertson.graph_lab", "json"}),
+    (["lemma357", "--r", "20"], 0, "verifier", {"albertson.graph_lab", "json"}),
+    (["catlin", "--k", "12"], 1, "verifier", {"albertson.graph_lab", "json"}),
+    (["edges", "--r", "13", "--n", "20"], 0, "bounds",
+     {"albertson.crossing", "albertson.verifier", "albertson.graph_lab", "fractions"}),
+    (["bound", "--n", "20", "--m", "100"], 0, "crossing",
+     {"albertson.verifier", "albertson.graph_lab"}),
     (["counting", "--n", "20", "--m", "100", "--s", "6"], 0, "crossing",
-     {"verifier", "graph_lab"}),
+     {"albertson.verifier", "albertson.graph_lab"}),
     (["families", "--kind", "Delta", "--r", "5", "--budget", "coloring=40"], 0,
-     "graph_lab", {"verifier"}),
-    (["check-list", "--r", "4", "--file", "{good}"], 0, "graph_lab", {"verifier"}),
+     "graph_lab", {"albertson.verifier", "fractions"}),
+    (["check-list", "--r", "4", "--file", "{good}"], 0, "graph_lab",
+     {"albertson.verifier", "fractions"}),
 ]
+
+
+def _loaded_modules(env, argv) -> tuple[int, set[str]]:
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    status, loaded = json.loads(proc.stdout)
+    return status, set(loaded)
 
 
 class TestImportsPerCommand:
@@ -404,13 +423,16 @@ class TestImportsPerCommand:
         good = tmp_path / "good.g6"
         good.write_text("E|fG\n")
         argv = [arg.format(good=good) for arg in argv]
-        proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], env=child_env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        got_status, loaded = json.loads(proc.stdout)
+        got_status, loaded = _loaded_modules(child_env, argv)
         assert got_status == status
         assert f"albertson.{needed}" in loaded
-        assert not {f"albertson.{name}" for name in unused} & set(loaded), loaded
+        assert not (unused | NEVER_LOADED) & loaded, sorted(loaded)
+
+    def test_structured_format_loads_json(self, child_env):
+        # the snapshot sees a module that the command itself imports
+        status, loaded = _loaded_modules(child_env, ["verify", "--r", "17",
+                                                     "--format", "structured"])
+        assert status == 1 and "json" in loaded and not NEVER_LOADED & loaded
 
 
 # sha256 of "exit <status>\n<stdout><stderr>" at 80 columns, recorded before

@@ -6,7 +6,6 @@ import itertools
 import math
 import pickle
 import random
-from dataclasses import FrozenInstanceError, asdict, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -539,12 +538,12 @@ class TestLazyRecord:
 
     def test_fields_cannot_be_assigned(self, kernel):
         bound = kernel()
-        for name in ("value", "raw", "method"):
-            with pytest.raises(FrozenInstanceError):
+        for name in ("value", "raw", "method", "_raw"):
+            with pytest.raises(AttributeError):
                 setattr(bound, name, 0)
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 delattr(bound, name)
-        assert bound == kernel()
+        assert bound == kernel() and not hasattr(bound, "__dict__")
 
     def test_value_builds_no_fraction(self, kernel, monkeypatch):
         """Reading value constructs no Fraction; the first read of raw
@@ -563,11 +562,14 @@ class TestLazyRecord:
         assert len(built) == 1
 
     def test_dataclass_helpers_read_the_reduced_raw(self, kernel):
+        """_asdict and _replace, the record helpers that stand in for
+        dataclasses.asdict and replace, see raw as a reduced Fraction."""
         want = kernel()
-        assert [f.name for f in fields(CrossingLowerBound)] == ["value", "raw", "method"]
-        doc = asdict(kernel())
+        assert CrossingLowerBound._fields == ("value", "raw", "method")
+        doc = kernel()._asdict()
+        assert list(doc) == ["value", "raw", "method"]
         assert type(doc["raw"]) is Fraction and doc["raw"] == want.raw
-        assert doc["value"] == want.value
-        moved = replace(kernel(), value=want.value + 1)
+        assert doc["value"] == want.value and doc["method"] == want.method
+        moved = kernel()._replace(value=want.value + 1)
         assert type(moved.raw) is Fraction and moved.raw == want.raw
         assert moved.method == want.method and moved.value == want.value + 1

@@ -3,7 +3,9 @@ object its home module holds; importing the package loads no module; the
 command-line choice enums are defined once and re-exported."""
 
 import ast
+import copy
 import importlib
+import pickle
 import subprocess
 import sys
 import types
@@ -80,3 +82,64 @@ def test_cli_copies_no_choice_value():
     literals = {node.value for node in ast.walk(tree)
                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert not values & literals
+
+
+# every public record with its fields in order, and a way to build one
+RECORDS = {
+    "CriticalParams": (("r", "n"), lambda a: a.CriticalParams(5, 10)),
+    "EdgeBound": (("m_min", "rule", "excess"), lambda a: a.min_edges(a.CriticalParams(5, 10))),
+    "LinearRule": (("a", "b", "id"), lambda a: a.LINEAR_RULES[0]),
+    "Method": (("kind", "rule", "p", "s"), lambda a: a.linear_lower(10, 30).method),
+    "CrossingLowerBound": (("value", "raw", "method"), lambda a: a.cr_nmp(20, 100, "1/2")),
+    "SamplingParams": (("s", "base"), lambda a: a.SamplingParams(6)),
+    "CaseRow": (("n", "m_min", "linear_bound", "p", "prob_bound", "target", "satisfied"),
+                lambda a: a.verify_albertson(13).rows[0]),
+    "TailCertificate": (("r", "p", "n0", "slope", "tail_term_at_n0", "valid"),
+                        lambda a: a.verify_albertson(13).tail),
+    "VerificationReport": (("r", "small_n_note", "rows", "tail", "gaps", "verdict",
+                            "refined_rows"), lambda a: a.verify_albertson(13)),
+    "SweepResult": (("ok", "r", "n_lo", "n_hi", "min_margin", "argmin_n"),
+                    lambda a: a.lemma357_check(17)),
+    "CatlinRow": (("k", "lower", "upper", "holds"), lambda a: a.catlin_check(3).rows[0]),
+    "CatlinReport": (("k_max", "lower_coefficient", "upper_coefficient", "rows", "first_hold",
+                      "failures"), lambda a: a.catlin_check(3)),
+    "Graph": (("vertex_count", "masks"), lambda a: a.complete_graph(4)),
+    "FamilySpec": (("kind", "sizes"), lambda a: a.delta_splits(4)[0]),
+    "ComplementAnalysis": (("components", "max_matching", "has_triangle"),
+                           lambda a: a.complement_analysis(a.cycle_graph(5))),
+    "SubdivisionWitness": (("t", "branch_vertices", "paths"),
+                           lambda a: a.find_topological_clique(a.complete_graph(4), 4)),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_immutable_with_pinned_fields(name):
+    fields, build = RECORDS[name]
+    record = build(albertson)
+    assert type(record) is getattr(albertson, name) and record._fields == fields
+    before = [getattr(record, field) for field in fields]
+    for field in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert [getattr(record, field) for field in fields] == before
+    assert not hasattr(record, "__dict__")
+    for copier in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        assert copier(record) == record and hash(copier(record)) == hash(record)
+
+
+@pytest.mark.parametrize("build, change", [
+    (lambda a: a.CriticalParams(5, 10), {"n": 4}),
+    (lambda a: a.SamplingParams(6), {"s": 4}),
+    (lambda a: a.delta_splits(4)[0], {"sizes": (9, 9, 9)}),
+    (lambda a: a.delta_splits(4)[0], {"kind": "Bogus"}),
+], ids=["CriticalParams", "SamplingParams", "FamilySpec sizes", "FamilySpec kind"])
+def test_replace_checks_a_validating_record(build, change):
+    with pytest.raises(ValueError):
+        build(albertson)._replace(**change)
+
+
+def test_replace_coerces_a_family_kind():
+    spec = albertson.delta_splits(4)[0]._replace(kind="Catlin", sizes=(2,))
+    assert spec.kind is albertson.FamilyKind.CATLIN and spec.r == 5

@@ -1,7 +1,6 @@
 """Case-analysis verifier: published tables, tail certificates, sweeps,
 Catlin comparison, report rendering."""
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -138,20 +137,20 @@ class TestCaseRows:
 
     @pytest.mark.parametrize("edit, flag", [
         (lambda rows: rows[1:], "n=20: reference row has no computed counterpart"),
-        (lambda rows: (dataclasses.replace(rows[0], m_min=166), *rows[1:]),
+        (lambda rows: (rows[0]._replace(m_min=166), *rows[1:]),
          "n=20: e = 166 here vs 165 in the reference"),
-        (lambda rows: (dataclasses.replace(rows[0], linear_bound=352), *rows[1:]),
+        (lambda rows: (rows[0]._replace(linear_bound=352), *rows[1:]),
          "n=20: linear bound = 352 here vs 351 in the reference"),
-        (lambda rows: (dataclasses.replace(rows[0], prob_bound=511), *rows[1:]),
+        (lambda rows: (rows[0]._replace(prob_bound=511), *rows[1:]),
          "n=20: prob bound = 511 here vs 510 in the reference"),
-        (lambda rows: (*rows, dataclasses.replace(rows[-1], n=28)),
+        (lambda rows: (*rows, rows[-1]._replace(n=28)),
          "n=28: computed row has no reference counterpart"),
     ], ids=["missing", "e", "linear", "prob", "extra"])
     def test_reference_flags_name_each_difference(self, edit, flag):
         report = verify_albertson(15)
         p_flag = ("n=22: p = 0.628 here vs 0.623 in the reference "
                   "(which optimized p in floating point)")
-        got = compare_with_reference(dataclasses.replace(report, rows=edit(report.rows)))
+        got = compare_with_reference(report._replace(rows=edit(report.rows)))
         assert sorted(got) == sorted((flag, p_flag))
 
     def test_fmt3_off_the_milli_grid(self):
