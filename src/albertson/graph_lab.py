@@ -29,7 +29,9 @@ recursion that takes each class of twins (equal closed or equal open
 neighborhoods) as a prefix in label order and cuts by a private-vertex
 count, which charges two private vertices to a pair whose ends share no
 neighbor off the set, then depth-first routing of chordless paths on
-bitmasks with reachability forward checks.
+bitmasks with reachability forward checks, which takes each twin class
+among the internal vertices as a prefix too: a step to a vertex whose next
+lower twin is still free mirrors the step to that twin, tried first.
 Budgets default to n <= 40 for coloring and n <= 20 for subdivision search
 and can be raised per call (max_n) or per command (--budget, e.g.
 "coloring=50,subdivision=24"); nothing else sets them, so every search
@@ -770,24 +772,41 @@ class SubdivisionWitness(NamedTuple):
     paths: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
 
     def verify(self, g: Graph) -> bool:
-        """Re-check every claim of the witness against g.  Each path vertex
-        passes the edge test from its predecessor, which rejects a vertex
-        out of range, before it becomes a bit of a mask."""
-        branch = self.branch_vertices
+        """Re-check every claim of the witness against g.  There must be one
+        path per pair of branch vertices, filed under the pair with its
+        lower end first.  Each path vertex passes the edge test from its
+        predecessor, which rejects a vertex out of range, before it becomes
+        a bit of a mask."""
+        branch, t = self.branch_vertices, self.t
         n, masks = g.vertex_count, g.masks
-        if len(branch) != self.t or len(set(branch)) != self.t:
+        if len(branch) != t or len(set(branch)) != t:
             return False
         if any(not 0 <= v < n for v in branch):
             return False
-        expected = {tuple(sorted(pair)) for pair in itertools.combinations(branch, 2)}
-        if {pair for pair, _ in self.paths} != expected or len(self.paths) != len(expected):
+        if len(self.paths) != t * (t - 1) // 2:
             return False
-        taken = 0  # the branch set and the internal vertices of earlier paths
+        ends = 0
         for v in branch:
-            taken |= 1 << v
-        for (u, v), path in self.paths:
+            ends |= 1 << v
+        # taken: the branch set and the internal vertices of earlier paths;
+        # met: bit u*n + v for each pair (u, v) already met
+        taken, met = ends, 0
+        for pair, path in self.paths:
+            if len(pair) != 2:
+                return False
+            u, v = pair
+            if not 0 <= u < v < n or not ends >> u & ends >> v & 1:
+                return False
+            key = 1 << u * n + v
+            if met & key:
+                return False
+            met |= key
             if len(path) < 2 or path[0] != u or path[-1] != v:
                 return False
+            if len(path) == 2:  # a direct edge has no internal vertex
+                if not masks[u] >> v & 1:
+                    return False
+                continue
             prev, on_path = u, 1 << u
             for w in path[1:]:
                 if w < 0 or not masks[prev] >> w & 1:
@@ -822,11 +841,13 @@ def _reaches(adj: Sequence[int], start: int, allowed: int, goal: int) -> bool:
     return False
 
 
-def _route(adj: Sequence[int], pairs: list[tuple[int, int]],
+def _route(adj: Sequence[int], twin: Sequence[int], pairs: list[tuple[int, int]],
            free: int) -> dict[tuple[int, int], tuple[int, ...]] | None:
     """First system of internally disjoint chordless paths joining the
     pairs, none of them adjacent, routed in order with internal vertices
-    from the bitmask free: a dict pair -> path, or None if there is none."""
+    from the bitmask free: a dict pair -> path, or None if there is none.
+    twin[w] is the bit of w's next lower twin (0 if none); a step to w is
+    skipped while that twin is free."""
     for a, b in pairs:
         if not _reaches(adj, a, free, adj[b]):
             return None
@@ -839,7 +860,7 @@ def _route(adj: Sequence[int], pairs: list[tuple[int, int]],
     def extend(cur: int, banned: int, free: int):
         # banned holds the neighbors of the path vertices before cur
         if goal >> cur & 1:
-            system = _route(adj, rest, free)
+            system = _route(adj, twin, rest, free)
             if system is not None:
                 system[(u, v)] = (*path, v)
             return system
@@ -849,6 +870,8 @@ def _route(adj: Sequence[int], pairs: list[tuple[int, int]],
             low = steps & -steps
             steps ^= low
             w = low.bit_length() - 1
+            if twin[w] & free:
+                continue
             left = free ^ low
             if goal & low or _reaches(adj, w, left & ~after, goal):
                 path.append(w)
@@ -903,7 +926,7 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
           the first witness stays the same.  No vertex has twins of both
           kinds (if u, v are true twins and u, w false twins, then w is in
           N(v), within N[u], so w is in N(u) = N(w)), so one next-lower-twin
-          bit per vertex suffices.
+          bit per vertex suffices, and routing reads the same bit.
 
     On a full branch set each open pair is first checked for a path through
     the free vertices, by a breadth-first search over bitmasks.  Then the
@@ -916,7 +939,15 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
       - a path closes as soon as its end is adjacent to the target, for the
         same reason;
       - a step is taken only if the target can still be reached from the
-        new end through free vertices that no earlier path vertex touches.
+        new end through free vertices that no earlier path vertex touches;
+      - a step to w is skipped while w's next lower twin w' is free.  Both
+        are off the branch set and off every path, so swapping them is an
+        automorphism that fixes the branch set, every earlier path, the
+        current path and the target, and maps the step to w' and all below
+        it onto the step to w.  Steps are walked in label order, so the
+        search reaches w only once w' has failed, and w would fail too.  The
+        first witness stays the same, and each twin class enters the paths
+        as a prefix.
 
     Once a path closes, every remaining pair must again be joined through
     the vertices still free.
@@ -926,8 +957,10 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
     n = g.vertex_count
     _check_budget("subdivision", n, max_n)
     adj = g.masks
-    candidates = sorted((v for v in range(n) if adj[v].bit_count() >= t - 1),
-                        key=lambda v: (-adj[v].bit_count(), v))
+    degree = [mask.bit_count() for mask in adj]
+    # highest degree first; sorted is stable under reverse, so lower label on ties
+    candidates = sorted((v for v in range(n) if degree[v] >= t - 1),
+                        key=degree.__getitem__, reverse=True)
     free_all = (1 << n) - 1
     # twin[v]: the bit of v's next lower twin, 0 if it has none
     twin, last_closed, last_open = [0] * n, {}, {}
@@ -946,7 +979,7 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
                 rest ^= low
             pairs = list(itertools.combinations(members, 2))
             open_pairs = [(a, b) for a, b in pairs if not adj[a] >> b & 1]
-            system = _route(adj, open_pairs, free_all & ~branch)
+            system = _route(adj, twin, open_pairs, free_all & ~branch)
             if system is None:
                 return None
             return SubdivisionWitness(t=t, branch_vertices=tuple(members),

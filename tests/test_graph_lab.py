@@ -48,6 +48,7 @@ from albertson.graph_lab import (
     _has_triangle,
     _k_coloring,
     _max_matching,
+    _route,
     _run_search,
 )
 
@@ -1403,10 +1404,12 @@ class TestKernelIdentity:
 # Reference subdivision search: graph_lab's SubdivisionWitness.verify,
 # _reaches, _route and find_topological_clique as they were before the
 # search walked set bits inline, sharpened its private-vertex count and took
-# twin classes as prefixes, copied statement for statement in the same way
-# as the kernels above.  The search must find exactly the witness these
-# find, in no more calls of choose, and verify must accept exactly the
-# witnesses the reference accepts.
+# twin classes as prefixes, in branch sets and in routing, and before
+# verify stopped sorting every pair, copied statement for statement in the
+# same way as the kernels above.  The search must find exactly the witness
+# these find, in no more calls of choose and no more routing steps (calls of
+# extend), and verify must accept exactly the witnesses the reference
+# accepts.
 
 
 def _ref_verify(self, g):
@@ -1510,22 +1513,25 @@ def _ref_find_topological_clique(g, t, max_n=None):
     return _run_search("subdivision", choose, 0, 0, 0, 0)
 
 
-def _witness_and_nodes(find, g, t, max_n=None):
-    """find(g, t, max_n) and the number of search nodes (calls of its nested
-    choose) it took, counted by a call-only trace."""
-    nodes = 0
+def _witness_and_nodes(find, *args):
+    """find(*args), the number of search nodes (calls of its nested choose)
+    and the number of routing steps (calls of extend, nested in routing) it
+    took, counted by a call-only trace."""
+    nodes = steps = 0
 
     def trace(frame, event, arg):
-        nonlocal nodes
-        nodes += frame.f_code.co_name == "choose"
+        nonlocal nodes, steps
+        name = frame.f_code.co_name
+        nodes += name == "choose"
+        steps += name == "extend"
 
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        witness = find(g, t, max_n)
+        witness = find(*args)
     finally:
         sys.settrace(previous)
-    return witness, nodes
+    return witness, nodes, steps
 
 
 def _branch_sets(find, g, t):
@@ -1546,6 +1552,33 @@ def _branch_sets(find, g, t):
     return sets
 
 
+def _routed_states(find, g, t):
+    """For each call of extend in find(g, t) whose current vertex is internal
+    to its path (not the pair end the path starts from), that vertex and the
+    free mask, in call order."""
+    states = []
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_name == "extend" and len(frame.f_locals["path"]) > 1:
+            states.append((frame.f_locals["cur"], frame.f_locals["free"]))
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        find(g, t)
+    finally:
+        sys.settrace(previous)
+    return states
+
+
+def _lower_twins(g):
+    """For each vertex, the lower vertices with the same closed or the same
+    open neighborhood."""
+    masks = g.masks
+    return [[u for u in range(v) if masks[u] | 1 << u == masks[v] | 1 << v or masks[u] == masks[v]]
+            for v in range(g.vertex_count)]
+
+
 def _twin_blowup(rng):
     """A random graph on at most 6 vertices with each vertex blown up into a
     clique or an independent set of 1-3 vertices, so that true and false
@@ -1563,13 +1596,16 @@ def _tamperings(w, g, rng):
     """Seeded corruptions of witness w: a path vertex set to -1, to n or to
     a random vertex, a path that walks its first edge back and forth, a pair
     rerouted through an edge pair ux, xv of g with x internal to another
-    path, a path dropped, a path duplicated, and a branch vertex swapped for
-    a random vertex."""
+    path, a path dropped, a path duplicated, a pair filed as (v, u) with its
+    path reversed, a pair with one end swapped for a non-branch vertex, a
+    pair of three vertices, a path filed under another pair's key, another
+    pair's entry in place of a pair's own, and a branch vertex swapped for a
+    random vertex."""
     n, paths = g.vertex_count, list(w.paths)
 
-    def with_path(i, path):
+    def with_path(i, path, pair=None):
         changed = paths[:]
-        changed[i] = (paths[i][0], path)
+        changed[i] = (paths[i][0] if pair is None else pair, path)
         return w._replace(paths=tuple(changed))
 
     if paths:
@@ -1591,6 +1627,22 @@ def _tamperings(w, g, rng):
         i = rng.randrange(len(paths))
         yield w._replace(paths=tuple(paths[:i] + paths[i + 1:]))
         yield w._replace(paths=tuple(paths[:i + 1] + paths[i:]))
+        i = rng.randrange(len(paths))
+        (u, v), path = paths[i]
+        yield with_path(i, path[::-1], (v, u))
+        outside = [x for x in range(n) if x not in w.branch_vertices]
+        if outside:
+            x = rng.choice(outside)
+            yield with_path(i, path, tuple(sorted((u, x))))
+            yield with_path(i, path, (u, v, x))
+        if len(paths) > 1:
+            j = rng.choice([j for j in range(len(paths)) if j != i])
+            yield with_path(i, path, paths[j][0])
+            # pair j's whole entry, a direct edge where one exists, in place of
+            # pair i's: every path checks out, but pair j is met twice
+            direct = [j for j, (_, other) in enumerate(paths) if j != i and len(other) == 2]
+            j = rng.choice(direct) if direct else j
+            yield with_path(i, paths[j][1], paths[j][0])
     if w.branch_vertices:
         branch = list(w.branch_vertices)
         branch[rng.randrange(len(branch))] = rng.randrange(n)
@@ -1598,13 +1650,15 @@ def _tamperings(w, g, rng):
 
 
 def _assert_search_matches(g, t, rng, max_n=None):
-    """Same witness as the reference in no more nodes, and verify agrees with
-    the reference on it and on its tamperings; returns (witness, nodes,
-    reference nodes, tamperings rejected)."""
-    witness, nodes = _witness_and_nodes(find_topological_clique, g, t, max_n)
-    expected, ref_nodes = _witness_and_nodes(_ref_find_topological_clique, g, t, max_n)
+    """Same witness as the reference in no more nodes and no more routing
+    steps, and verify agrees with the reference on it and on its
+    tamperings; returns (witness, nodes, reference nodes, tamperings
+    rejected, steps, reference steps)."""
+    witness, nodes, steps = _witness_and_nodes(find_topological_clique, g, t, max_n)
+    expected, ref_nodes, ref_steps = _witness_and_nodes(_ref_find_topological_clique, g, t, max_n)
     assert witness == expected, (g.masks, t)
     assert nodes <= ref_nodes, (g.masks, t)
+    assert steps <= ref_steps, (g.masks, t)
     rejected = 0
     if witness is not None:
         assert witness.verify(g) and _ref_verify(witness, g), (g.masks, t)
@@ -1612,22 +1666,23 @@ def _assert_search_matches(g, t, rng, max_n=None):
             verdict = bad.verify(g)
             assert verdict == _ref_verify(bad, g), (g.masks, t, bad)
             rejected += not verdict
-    return witness, nodes, ref_nodes, rejected
+    return witness, nodes, ref_nodes, rejected, steps, ref_steps
 
 
 class TestSubdivisionIdentity:
     """The inline bit walks, the bitmask witness check, the count of two
     private vertices for a pair without a common neighbor and taking each
-    twin class as a prefix change no answer: the same first witness as the
-    reference search, never more search nodes, and the same verify verdict
-    on every witness and every tampering of it."""
+    twin class as a prefix, among branch vertices and among routed internal
+    vertices, change no answer: the same first witness as the reference
+    search, never more search nodes or routing steps, and the same verify
+    verdict on every witness and every tampering of it."""
 
     def test_random_graphs(self):
         rng = random.Random(0x1F17)
         found = cut = rejected = 0
         for _ in range(1000):
             g = _random_graph(rng, rng.randint(1, 11), rng.random())
-            witness, nodes, ref_nodes, bad = _assert_search_matches(g, rng.randint(1, 6), rng)
+            witness, nodes, ref_nodes, bad, _, _ = _assert_search_matches(g, rng.randint(1, 6), rng)
             found += witness is not None
             cut += nodes < ref_nodes
             rejected += bad
@@ -1646,15 +1701,20 @@ class TestSubdivisionIdentity:
         catlin_chi = [(catlin(k), -(-5 * k // 2)) for k in (4, 5, 6)]
         cases += catlin_chi
         must_cut |= set(catlin_chi)
+        # "no" answers whose full branch sets reach routing, where the unused
+        # members of each k-clique are twins that routing takes as prefixes
+        must_route_less = {(catlin(3), 8), (catlin(4), 10)}
         cut = 0
         for g, t in cases:
-            _, nodes, ref_nodes, _ = _assert_search_matches(_relabel(g, rng), t, rng,
-                                                            max_n=g.vertex_count)
+            _, nodes, ref_nodes, _, steps, ref_steps = _assert_search_matches(
+                _relabel(g, rng), t, rng, max_n=g.vertex_count)
             cut += nodes < ref_nodes
             if (g, t) in must_cut:
                 assert nodes < ref_nodes, (t, nodes, ref_nodes)
+            if (g, t) in must_route_less:
+                assert steps < ref_steps, (t, steps, ref_steps)
         assert cut > 0
-        assert must_cut <= set(cases)
+        assert must_cut | must_route_less <= set(cases)
 
     def test_twin_blowups(self):
         rng = random.Random(0x1F24)
@@ -1662,7 +1722,7 @@ class TestSubdivisionIdentity:
         for _ in range(300):
             g = _twin_blowup(rng)
             for t in range(1, 8):
-                witness, nodes, ref_nodes, bad = _assert_search_matches(g, t, rng)
+                witness, nodes, ref_nodes, bad, _, _ = _assert_search_matches(g, t, rng)
                 found += witness is not None
                 cut += nodes < ref_nodes
                 rejected += bad
@@ -1673,9 +1733,7 @@ class TestSubdivisionIdentity:
         # its vertices, all the lower twins of that vertex; the reference
         # search reaches other sets too
         def prefixes_only(find, g, t):
-            masks = g.masks
-            lower = [[u for u in range(v) if masks[u] | 1 << u == masks[v] | 1 << v
-                      or masks[u] == masks[v]] for v in range(g.vertex_count)]
+            lower = _lower_twins(g)
             return all(branch >> u & 1 for branch in _branch_sets(find, g, t)
                        for v in range(g.vertex_count) if branch >> v & 1 for u in lower[v])
 
@@ -1689,3 +1747,47 @@ class TestSubdivisionIdentity:
         assert other > 10
         catlin4 = _relabel(build_family(FamilySpec(FamilyKind.CATLIN, (4,))), rng)
         assert prefixes_only(find_topological_clique, catlin4, 10)
+
+    def test_routed_vertices_are_twin_prefixes(self):
+        # routing takes an internal vertex only once all its lower twins are
+        # off the free set, so the vertices that no path may use any more form
+        # a prefix of each twin class; the reference routing takes others too
+        def prefixes_only(find, g, t):
+            lower = _lower_twins(g)
+            return all(not free >> u & 1 for cur, free in _routed_states(find, g, t)
+                       for u in lower[cur])
+
+        rng = random.Random(0x1F26)
+        other = 0
+        for _ in range(1000):
+            g = _twin_blowup(rng)
+            for t in range(3, 8):
+                assert prefixes_only(find_topological_clique, g, t), (g.masks, t)
+                other += not prefixes_only(_ref_find_topological_clique, g, t)
+        assert other > 20
+        catlin4 = _relabel(build_family(FamilySpec(FamilyKind.CATLIN, (4,))), rng)
+        assert prefixes_only(find_topological_clique, catlin4, 10)
+        assert not prefixes_only(_ref_find_topological_clique, catlin4, 10)
+
+    def test_routing_matches_reference(self):
+        # the routing of one full branch set, on its own: the same first
+        # system of paths as the reference routing, in no more steps, on
+        # twin-rich graphs, for random branch sets and free masks that hold
+        # no pair end
+        rng = random.Random(0x1F27)
+        found = fewer = 0
+        for _ in range(1000):
+            g = _twin_blowup(rng)
+            n, adj = g.vertex_count, g.masks
+            twin = [1 << lower[-1] if lower else 0 for lower in _lower_twins(g)]
+            branch = rng.sample(range(n), rng.randint(2, min(n, 5))) if n > 1 else []
+            pairs = [(a, b) for a, b in itertools.combinations(sorted(branch), 2)
+                     if not adj[a] >> b & 1]
+            free = sum(1 << v for v in range(n) if v not in branch and rng.random() < 0.9)
+            system, _, steps = _witness_and_nodes(_route, adj, twin, pairs, free)
+            expected, _, ref_steps = _witness_and_nodes(_ref_route, adj, pairs, free)
+            assert system == expected, (adj, pairs, free)
+            assert steps <= ref_steps, (adj, pairs, free)
+            found += bool(system)
+            fewer += steps < ref_steps
+        assert found > 100 and fewer > 30
