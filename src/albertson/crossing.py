@@ -30,7 +30,8 @@ denominator,
 which is the four terms brought over their common denominator
 6u^4*w^(n-6) (an integer for n >= 6): 4m/p^2, 103n/(6p^3), 103/(3p^4) and
 5n^2(1-p)^(n-2)/p^4 contribute 24m*u^2*w^(n-4), 103n*u*w^(n-3),
-206w^(n-2) and 30n^2*(w-u)^(n-2).
+206w^(n-2) and 30n^2*(w-u)^(n-2).  `cr_nmp` raises w to a power once:
+w^(n-4) = w^2*w^(n-6), and the same w^(n-6) is the denominator's.
 
 A deterministic counting variant averages a linear rule over all spanned
 s-vertex subgraphs: each edge lies in C(n-2, s-2) of them and each crossing
@@ -46,7 +47,8 @@ b = B/d over their least common denominator d that is one integer,
   (n-2)(n-3)*[A*m*s(s-1) - B*n(n-1)(s-2)] / (d*s(s-1)(s-2)(s-3)).
 
 Every kernel computes such a numerator num over a positive denominator den
-in integers and chooses between rules by comparing integers.  Its `value` is
+in integers and chooses between rules by comparing integers.  `_clamp_ceil`
+is the kernels' one constructor of the result: its `value` is
 max(0, -(-num // den)), the clamped ceiling by floor division; `raw` keeps
 the unreduced pair and becomes a Fraction only when it is read.
 
@@ -123,17 +125,16 @@ class Method(NamedTuple):
 # The five rules over their common denominator 6, 6*raw = A*m - B*(n-2), each
 # with the provenance that linear_lower reports for it.
 _LINEAR_SIXFOLD: dict[RuleId, tuple[int, int, Method]] = {
-    rule.id: (int(6 * rule.a), int(6 * rule.b), Method(kind=MethodKind.LINEAR, rule=rule.id))
+    rule.id: (int(6 * rule.a), int(6 * rule.b), Method(MethodKind.LINEAR, rule.id))
     for rule in LINEAR_RULES}
 
-
-def _linear_sixfold(n: int, m: int, entry: tuple[int, int, Method]) -> int:
-    """6*raw of the linear rule with this _LINEAR_SIXFOLD entry."""
-    a6, b6, _ = entry
-    return a6 * m - b6 * (n - 2)
+# the provenance of the two crossing-lemma forms, which never varies
+_LEMMA64 = Method(MethodKind.LEMMA64)
+_LEMMA311 = Method(MethodKind.LEMMA311)
 
 
 _set = object.__setattr__
+_new = object.__new__
 
 
 class CrossingLowerBound:
@@ -194,14 +195,19 @@ class CrossingLowerBound:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _bound_value(num: int, den: int) -> int:
+def _clamp_ceil(num: int, den: int, method: Method) -> CrossingLowerBound:
+    """The kernels' one constructor: the bound num/den with den > 0, its
+    value the clamped ceiling max(0, ceil(num/den))."""
     # crossing numbers are integers and never negative; den > 0, so floor
     # division gives the ceiling
-    return max(0, -(-num // den))
-
-
-def _clamp_ceil(num: int, den: int, method: Method) -> CrossingLowerBound:
-    return CrossingLowerBound(_bound_value(num, den), (num, den), method)
+    value = -(-num // den)
+    if value < 0:
+        value = 0
+    bound = _new(CrossingLowerBound)
+    _set(bound, "value", value)
+    _set(bound, "_raw", (num, den))
+    _set(bound, "method", method)
+    return bound
 
 
 class _SamplingFields(NamedTuple):
@@ -237,8 +243,13 @@ def linear_lower(n: int, m: int) -> CrossingLowerBound:
     if n < 3:
         raise ValueError(f"linear rules need n >= 3, got {n}")
     _check_edge_count(m)
-    best = max(_LINEAR_SIXFOLD.values(), key=functools.partial(_linear_sixfold, n, m))
-    return _clamp_ceil(_linear_sixfold(n, m, best), 6, best[2])
+    best = None
+    n2 = n - 2
+    for a6, b6, method in _LINEAR_SIXFOLD.values():
+        raw6 = a6 * m - b6 * n2
+        if best is None or raw6 > best:  # strict, so the first maximum wins
+            best, best_method = raw6, method
+    return _clamp_ceil(best, 6, best_method)
 
 
 def zarankiewicz(r: int) -> int:
@@ -268,9 +279,9 @@ def crossing_lemma_lower(n: int, m: int) -> CrossingLowerBound:
     # m >= 103n/16 implies m >= 4n, and 10/311 > 1/64: where the 31.1 form
     # applies it wins
     if 16 * m >= 103 * n:
-        return _clamp_ceil(10 * m**3, 311 * n**2, Method(kind=MethodKind.LEMMA311))
+        return _clamp_ceil(10 * m**3, 311 * n**2, _LEMMA311)
     if m >= 4 * n:
-        return _clamp_ceil(m**3, 64 * n**2, Method(kind=MethodKind.LEMMA64))
+        return _clamp_ceil(m**3, 64 * n**2, _LEMMA64)
     raise InapplicableRuleError(
         f"crossing lemma needs m >= 4n or m >= 103n/16, got n={n}, m={m}"
     )
@@ -295,10 +306,17 @@ def cr_nmp(n: int, m: int, p) -> CrossingLowerBound:
     u, w = p.numerator, p.denominator
     if not 0 < u <= w:  # 0 < p <= 1, as w > 0
         raise ValueError(f"p must be in (0, 1], got {p}")
-    num = ((24 * m * u * u + (206 * w - 103 * n * u) * w) * w ** (n - 4)
+    # w^(n-4) = w^2 * w^(n-6): one power serves numerator and denominator
+    w_pow = w ** (n - 6)
+    num = ((24 * m * u * u + (206 * w - 103 * n * u) * w) * w * w * w_pow
            - 30 * n * n * (w - u) ** (n - 2))
-    return _clamp_ceil(num, 6 * u**4 * w ** (n - 6),
-                       Method(kind=MethodKind.PROBABILISTIC, p=p))
+    return _clamp_ceil(num, 6 * u**4 * w_pow, Method(MethodKind.PROBABILISTIC, None, p))
+
+
+@functools.cache  # k is in 1..1000, so at most 1000 Fractions are kept
+def _grid_point(k: int) -> Fraction:
+    """k/1000, one shared Fraction per grid point, built on first use."""
+    return _F(k, 1000)
 
 
 def optimize_p(n: int, m: int) -> Fraction:
@@ -310,7 +328,8 @@ def optimize_p(n: int, m: int) -> Fraction:
     1/x* rounded to the nearest 1/1000 (half away from zero) and clamped into
     (0, 1].  If the discriminant is negative or x* <= 1 there is no interior
     optimum and p = 1 is returned.  Everything is computed in exact integer
-    arithmetic via isqrt; soundness never depends on the choice.
+    arithmetic via isqrt; soundness never depends on the choice.  Each grid
+    point is one shared Fraction, built on its first return.
     """
     if n < 10:
         raise ValueError(f"optimize_p needs n >= 10, got {n}")
@@ -319,10 +338,10 @@ def optimize_p(n: int, m: int) -> Fraction:
     # discriminant of the quadratic, scaled positive: D = (31827 n^2 - 52736 m)/12
     disc = 31827 * n * n - 52736 * m
     if disc < 0:
-        return _F(1)
+        return _grid_point(1000)
     # x* <= 1  <=>  (B - 2A)^2 <= D with B = 103n/2, A = 412/3; B > 2A for n >= 10
     if (309 * n - 1648) ** 2 <= 3 * disc:
-        return _F(1)
+        return _grid_point(1000)
     # 1000/x* = (309000 n + sqrt(N)) / (96 m) with N = 3000000 * disc
     big_n = 3000000 * disc
     p_num, q = 309000 * n, 96 * m
@@ -332,7 +351,7 @@ def optimize_p(n: int, m: int) -> Fraction:
     rhs = (2 * k + 1) * q - 2 * p_num
     if rhs <= 0 or 4 * big_n >= rhs * rhs:
         k += 1
-    return _F(min(max(k, 1), 1000), 1000)
+    return _grid_point(min(max(k, 1), 1000))
 
 
 def _counting_coefficients(params: SamplingParams) -> tuple[int, int, int]:
@@ -344,11 +363,6 @@ def _counting_coefficients(params: SamplingParams) -> tuple[int, int, int]:
     d = math.lcm(a.denominator, b.denominator)
     a_d, b_d = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
     return a_d * s * (s - 1), b_d * (s - 2), d * s * (s - 1) * (s - 2) * (s - 3)
-
-
-def _counting_numerator(n: int, m: int, a_s: int, b_s: int) -> int:
-    """Numerator of the counting bound over the denominator above."""
-    return (n - 2) * (n - 3) * (a_s * m - b_s * n * (n - 1))
 
 
 def counting_lower(n: int, m: int, params: SamplingParams) -> CrossingLowerBound:
@@ -363,5 +377,5 @@ def counting_lower(n: int, m: int, params: SamplingParams) -> CrossingLowerBound
         raise ValueError(f"sample size s={s} exceeds n={n}")
     _check_edge_count(m)
     a_s, b_s, den = _counting_coefficients(params)
-    return _clamp_ceil(_counting_numerator(n, m, a_s, b_s), den,
-                       Method(kind=MethodKind.COUNTING, rule=params.base.id, s=s))
+    return _clamp_ceil((n - 2) * (n - 3) * (a_s * m - b_s * n * (n - 1)), den,
+                       Method(MethodKind.COUNTING, params.base.id, None, s))

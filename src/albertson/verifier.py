@@ -42,10 +42,8 @@ from .crossing import (
     SamplingParams,
     _LINEAR_SIXFOLD,
     _as_exact,
-    _bound_value,
+    _clamp_ceil,
     _counting_coefficients,
-    _counting_numerator,
-    _linear_sixfold,
     bipartite_zarankiewicz,
     cr_nmp,
     optimize_p,
@@ -200,7 +198,8 @@ def tail_certificate(r: int, p, n0: int) -> TailCertificate:
 
 
 def _case_row(r: int, n: int, m_min: int, target: int) -> CaseRow:
-    linear = _bound_value(_linear_sixfold(n, m_min, _LINEAR_SIXFOLD[table_rule_id(r)]), 6)
+    a6, b6, method = _LINEAR_SIXFOLD[table_rule_id(r)]
+    linear = _clamp_ceil(a6 * m_min - b6 * (n - 2), 6, method).value
     p = optimize_p(n, m_min)
     prob = cr_nmp(n, m_min, p).value
     return CaseRow(n=n, m_min=m_min, linear_bound=linear, p=p, prob_bound=prob,
@@ -328,9 +327,13 @@ def lemma357_check(r: int) -> SweepResult:
     n_hi = 4 * r
     target64 = r * (r - 1) * (r - 2) * (r - 3)
     a_s, b_s, den = _counting_coefficients(SamplingParams(s=52))
-    margin, argmin_n = min(
-        (64 * _counting_numerator(n, -(-((r - 1) * n) // 2), a_s, b_s) - den * target64, n)
-        for n in range(n_lo, n_hi + 1))
+    target = den * target64
+    margin = argmin_n = None
+    for n in range(n_lo, n_hi + 1):
+        m = -(-((r - 1) * n) // 2)
+        gap = 64 * (n - 2) * (n - 3) * (a_s * m - b_s * n * (n - 1)) - target
+        if margin is None or gap < margin:  # strict, so the smallest n wins ties
+            margin, argmin_n = gap, n
     return SweepResult(ok=margin > 0, r=r, n_lo=n_lo, n_hi=n_hi,
                        min_margin=_F(margin, 64 * den), argmin_n=argmin_n)
 

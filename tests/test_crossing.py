@@ -1,6 +1,7 @@
 """Crossing-number lower bounds: linear rules, crossing lemma, probabilistic
 refinement, counting bound, Zarankiewicz reference values."""
 
+import contextlib
 import copy
 import itertools
 import math
@@ -80,6 +81,21 @@ class TestLinearLower:
         assert eq1 == eq2 == 5
         assert b.method.rule is RuleId.EQ1
 
+    @pytest.mark.parametrize("n,m,tied,raw", [
+        (7, 20, (RuleId.EQ1, RuleId.EQ2), Fraction(5)),
+        (12, 50, (RuleId.EQ2, RuleId.EQ3), Fraction(100, 3)),
+        (12, 55, (RuleId.EQ3, RuleId.EQ4), Fraction(145, 3)),
+        (14, 94, (RuleId.EQ4, RuleId.EQ5), Fraction(170)),
+        (20, 141, (RuleId.EQ4, RuleId.EQ5), Fraction(255)),
+    ])
+    def test_envelope_tie_points(self, n, m, tied, raw):
+        """Where two neighbouring rules share the maximum, the lower-numbered
+        one wins with the shared raw value."""
+        raws = {rule.id: rule.raw(n, m) for rule in LINEAR_RULES}
+        assert [raws[rule_id] for rule_id in tied] == [raw, raw] == [max(raws.values())] * 2
+        b = linear_lower(n, m)
+        assert (b.method.rule, b.raw, b.value) == (tied[0], raw, math.ceil(raw))
+
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             linear_lower(2, 1)
@@ -143,6 +159,49 @@ class TestZarankiewicz:
     @given(st.integers(1, 40), st.integers(1, 40))
     def test_bipartite_symmetric(self, a, b):
         assert bipartite_zarankiewicz(a, b) == bipartite_zarankiewicz(b, a)
+
+
+# cr(K_n) for n = 3..12 (Guy 1972; Pan and Richter 2007)
+KNOWN_COMPLETE = {3: 0, 4: 0, 5: 1, 6: 3, 7: 9, 8: 18, 9: 36, 10: 60, 11: 100, 12: 150}
+
+
+def _known_crossing_numbers():
+    """(n, m, cr) of K_n above and of K_{a,b} for 1 <= a <= 6, a <= b < 40,
+    where cr(K_{a,b}) = floor(a/2)floor((a-1)/2)floor(b/2)floor((b-1)/2)
+    (Kleitman 1970)."""
+    yield from ((n, n * (n - 1) // 2, cr) for n, cr in KNOWN_COMPLETE.items())
+    for a in range(1, 7):
+        for b in range(a, 40):
+            yield a + b, a * b, (a // 2) * ((a - 1) // 2) * (b // 2) * ((b - 1) // 2)
+
+
+class TestKnownCrossingNumbers:
+    def test_no_kernel_exceeds_an_exact_crossing_number(self):
+        """Every kernel is a lower bound, so none may exceed a known exact
+        value; a shortcut that breaks soundness shows up here."""
+        violations, evaluations = [], 0
+
+        def check(label, n, m, cr, bound):
+            nonlocal evaluations
+            evaluations += 1
+            if bound.value > cr:
+                violations.append((label, n, m, cr, bound))
+
+        for n, m, cr in _known_crossing_numbers():
+            if n < 3:
+                continue
+            check("linear", n, m, cr, linear_lower(n, m))
+            with contextlib.suppress(InapplicableRuleError):
+                check("lemma", n, m, cr, crossing_lemma_lower(n, m))
+            if n >= 10:
+                check("cr_nmp", n, m, cr, cr_nmp(n, m, optimize_p(n, m)))
+                check("cr_nmp", n, m, cr, cr_nmp(n, m, 1))
+            for s in range(5, n + 1):
+                for base in LINEAR_RULES:
+                    check("counting", n, m, cr,
+                          counting_lower(n, m, SamplingParams(s=s, base=base)))
+        assert violations == []
+        assert evaluations > 20000
 
 
 class TestCrossingLemma:
