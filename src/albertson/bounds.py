@@ -47,6 +47,8 @@ class CriticalParams(_CriticalFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if not (isinstance(self.r, int) and isinstance(self.n, int)):
+            raise TypeError(f"r and n must be ints, got r={self.r!r}, n={self.n!r}")
         if self.r < 4:
             raise ValueError(f"r must be >= 4, got {self.r}")
         if self.n < self.r:

@@ -30,8 +30,12 @@ denominator,
 which is the four terms brought over their common denominator
 6u^4*w^(n-6) (an integer for n >= 6): 4m/p^2, 103n/(6p^3), 103/(3p^4) and
 5n^2(1-p)^(n-2)/p^4 contribute 24m*u^2*w^(n-4), 103n*u*w^(n-3),
-206w^(n-2) and 30n^2*(w-u)^(n-2).  `cr_nmp` raises w to a power once:
-w^(n-4) = w^2*w^(n-6), and the same w^(n-6) is the denominator's.
+206w^(n-2) and 30n^2*(w-u)^(n-2).  `_cr_ratio` is the one evaluator of
+this closed form: it takes 2m, so that a half-integer m is exact, and
+returns the pair (num, den).  `cr_nmp` builds its bound from it, and the
+verifier's tail certificate reads h(n0) from it at the un-rounded edge count
+2m = (r-1)n0 + 2r-6.  It raises w to a power once: w^(n-4) = w^2*w^(n-6),
+and the same w^(n-6) is the denominator's.
 
 A deterministic counting variant averages a linear rule over all spanned
 s-vertex subgraphs: each edge lies in C(n-2, s-2) of them and each crossing
@@ -222,6 +226,8 @@ class SamplingParams(_SamplingFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if not isinstance(self.s, int):
+            raise TypeError(f"s must be an int, got {self.s!r}")
         if self.s < 5:
             raise ValueError(f"sample size must be >= 5, got {self.s}")
         return self
@@ -232,7 +238,11 @@ class SamplingParams(_SamplingFields):
         return cls(*iterable)
 
 
-def _check_edge_count(m: int) -> None:
+def _check_counts(n: int, m: int) -> None:
+    """n and m are ints, so that no float reaches the integer kernels, and
+    m >= 0."""
+    if not (isinstance(n, int) and isinstance(m, int)):
+        raise TypeError(f"n and m must be ints, got n={n!r}, m={m!r}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
 
@@ -240,9 +250,9 @@ def _check_edge_count(m: int) -> None:
 def linear_lower(n: int, m: int) -> CrossingLowerBound:
     """Best of the five linear inequalities; ties go to the lowest-numbered
     rule.  The winner is chosen on raw values, then clamped at 0."""
+    _check_counts(n, m)
     if n < 3:
         raise ValueError(f"linear rules need n >= 3, got {n}")
-    _check_edge_count(m)
     best = None
     n2 = n - 2
     for a6, b6, method in _LINEAR_SIXFOLD.values():
@@ -254,6 +264,8 @@ def linear_lower(n: int, m: int) -> CrossingLowerBound:
 
 def zarankiewicz(r: int) -> int:
     """Z(r), the conjectured crossing number of K_r and a proven upper bound."""
+    if not isinstance(r, int):
+        raise TypeError(f"r must be an int, got {r!r}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     return (r // 2) * ((r - 1) // 2) * ((r - 2) // 2) * ((r - 3) // 2) // 4
@@ -266,6 +278,8 @@ def klerk_lower(r: int) -> int:
 
 def bipartite_zarankiewicz(a: int, b: int) -> int:
     """Conjectured crossing number of K_{a,b} (exact for min(a,b) <= 6)."""
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise TypeError(f"part sizes must be ints, got {a!r}, {b!r}")
     if a < 1 or b < 1:
         raise ValueError(f"part sizes must be >= 1, got {a}, {b}")
     return (a // 2) * ((a - 1) // 2) * (b // 2) * ((b - 1) // 2)
@@ -273,9 +287,9 @@ def bipartite_zarankiewicz(a: int, b: int) -> int:
 
 def crossing_lemma_lower(n: int, m: int) -> CrossingLowerBound:
     """Best applicable cubic bound m^3/(64 n^2) or m^3/(31.1 n^2)."""
+    _check_counts(n, m)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_edge_count(m)
     # m >= 103n/16 implies m >= 4n, and 10/311 > 1/64: where the 31.1 form
     # applies it wins
     if 16 * m >= 103 * n:
@@ -293,6 +307,16 @@ def _as_exact(p) -> Fraction:
     return p if type(p) is Fraction else _F(p)
 
 
+def _cr_ratio(n: int, twice_m: int, u: int, w: int) -> tuple[int, int]:
+    """cr(n, m, p) at 2m = twice_m and p = u/w as (num, den), den > 0: the
+    closed form over 6u^4*w^(n-6), for ints n >= 10 and 0 < u <= w."""
+    # w^(n-4) = w^2 * w^(n-6): one power serves numerator and denominator
+    w_pow = w ** (n - 6)
+    num = ((12 * twice_m * u * u + (206 * w - 103 * n * u) * w) * w * w * w_pow
+           - 30 * n * n * (w - u) ** (n - 2))
+    return num, 6 * u**4 * w_pow
+
+
 def cr_nmp(n: int, m: int, p) -> CrossingLowerBound:
     """The probabilistic bound cr(n,m,p), evaluated exactly.
 
@@ -300,17 +324,14 @@ def cr_nmp(n: int, m: int, p) -> CrossingLowerBound:
     collapses to inequality (4).
     """
     p = _as_exact(p)
+    _check_counts(n, m)
     if n < 10:
         raise ValueError(f"cr(n,m,p) needs n >= 10, got {n}")
-    _check_edge_count(m)
     u, w = p.numerator, p.denominator
     if not 0 < u <= w:  # 0 < p <= 1, as w > 0
         raise ValueError(f"p must be in (0, 1], got {p}")
-    # w^(n-4) = w^2 * w^(n-6): one power serves numerator and denominator
-    w_pow = w ** (n - 6)
-    num = ((24 * m * u * u + (206 * w - 103 * n * u) * w) * w * w * w_pow
-           - 30 * n * n * (w - u) ** (n - 2))
-    return _clamp_ceil(num, 6 * u**4 * w_pow, Method(MethodKind.PROBABILISTIC, None, p))
+    num, den = _cr_ratio(n, 2 * m, u, w)
+    return _clamp_ceil(num, den, Method(MethodKind.PROBABILISTIC, None, p))
 
 
 @functools.cache  # k is in 1..1000, so at most 1000 Fractions are kept
@@ -331,6 +352,7 @@ def optimize_p(n: int, m: int) -> Fraction:
     arithmetic via isqrt; soundness never depends on the choice.  Each grid
     point is one shared Fraction, built on its first return.
     """
+    _check_counts(n, m)
     if n < 10:
         raise ValueError(f"optimize_p needs n >= 10, got {n}")
     if m < 1:
@@ -372,10 +394,10 @@ def counting_lower(n: int, m: int, params: SamplingParams) -> CrossingLowerBound
     all C(n,s) subsets S uses each edge C(n-2,s-2) times, and each crossing of
     an optimal drawing of G appears in at most C(n-4,s-4) subsets.
     """
+    _check_counts(n, m)
     s = params.s
     if s > n:
         raise ValueError(f"sample size s={s} exceeds n={n}")
-    _check_edge_count(m)
     a_s, b_s, den = _counting_coefficients(params)
     return _clamp_ceil((n - 2) * (n - 3) * (a_s * m - b_s * n * (n - 1)), den,
                        Method(MethodKind.COUNTING, params.base.id, None, s))

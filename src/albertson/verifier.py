@@ -13,9 +13,13 @@ three regimes:
               the probabilistic bound at a fixed p is h(n) = c*n + d - T(n)
               with slope c = 2(r-1)/p^2 - (103/6)/p^3, intercept
               d = (4r-12)/p^2 + 103/(3p^4) and tail term
-              T(n) = 5n^2 (1-p)^(n-2)/p^4.  If c > 0, T is decreasing from n0
-              on, and ceil(h(n0)) >= Z(r), then cr(G) >= Z(r) for every
-              n >= n0.
+              T(n) = 5n^2 (1-p)^(n-2)/p^4; h(n0) is cr(n0, m, p) at the
+              un-rounded 2m = (r-1)n0 + 2r-6.  If c > 0, T is decreasing
+              from n0 on, and ceil(h(n0)) >= Z(r), then cr(G) >= Z(r) for
+              every n >= n0.  With p = u/w the three conditions are integer
+              sign tests: 12(r-1)u > 103w, (w-u)(n0+1)^2 < w*n0^2, and
+              num > (Z(r)-1)*den for h(n0) = num/den from crossing's one
+              evaluator of cr(n, m, p).
 
 At n = 2r-2 an unsatisfied row gets one rescue attempt: the join refinement
 of the Gallai bound adds ceil((r-2)/2) edges and the row is recomputed.
@@ -30,7 +34,6 @@ Catlin-family comparison 2Z(2k) + Z(k) + 3cr(K_{k,k}) > Z(ceil(5k/2)).
 from __future__ import annotations
 
 import functools
-import math
 import typing
 from enum import Enum
 from fractions import Fraction
@@ -44,6 +47,7 @@ from .crossing import (
     _as_exact,
     _clamp_ceil,
     _counting_coefficients,
+    _cr_ratio,
     bipartite_zarankiewicz,
     cr_nmp,
     optimize_p,
@@ -77,7 +81,9 @@ class TailCertificate(typing.NamedTuple):
     valid requires (a) slope > 0, (b) the tail term decreasing at n0, i.e.
     (1-p)((n0+1)/n0)^2 < 1, and (c) ceil(h(n0)) >= Z(r) where h uses the
     un-rounded KS edge count ((r-1)n0 + 2r-6)/2 so that h stays linear in n
-    apart from the shrinking tail term.
+    apart from the shrinking tail term.  h(n0) is cr(n0, m, p) at
+    2m = (r-1)n0 + 2r-6, and with p = u/w the three conditions are the
+    integer sign tests of `_tail_valid`.
     """
 
     r: int
@@ -89,12 +95,14 @@ class TailCertificate(typing.NamedTuple):
 
     @property
     def intercept(self) -> Fraction:
-        return _tail_intercept(self.r, self.p)
+        """d = h(n0) + T(n0) - slope*n0, i.e. (4r-12)/p^2 + 103/(3p^4)."""
+        return self.anchor_value + self.tail_term_at_n0 - self.slope * self.n0
 
     @property
     def anchor_value(self) -> Fraction:
-        """h(n0) = slope*n0 + intercept - T(n0)."""
-        return self.slope * self.n0 + self.intercept - self.tail_term_at_n0
+        """h(n0) = cr(n0, m, p) at 2m = (r-1)n0 + 2r-6."""
+        r, n0, p = self.r, self.n0, self.p
+        return _F(*_cr_ratio(n0, (r - 1) * n0 + 2 * r - 6, p.numerator, p.denominator))
 
 
 class VerificationReport(typing.NamedTuple):
@@ -175,26 +183,31 @@ TAIL_ANCHORS: dict[int, tuple[Fraction, int]] = {
 }
 
 
-def _tail_intercept(r: int, p: Fraction) -> Fraction:
-    """d = (4r-12)/p^2 + 103/(3p^4), the intercept of h(n)."""
-    return (4 * r - 12) / p**2 + _F(103, 3) / p**4
+def _tail_valid(r: int, u: int, w: int, n0: int) -> bool:
+    """The three tail conditions at p = u/w, each an integer sign test:
+    slope > 0, T decreasing at n0, and ceil(h(n0)) >= Z(r), i.e.
+    h(n0) > Z(r) - 1 with h(n0) = num/den from `_cr_ratio`."""
+    # 6p^3 * slope = 12(r-1)p - 103, and T(n0+1)/T(n0) = (1-p)((n0+1)/n0)^2
+    if 12 * (r - 1) * u <= 103 * w or (w - u) * (n0 + 1) ** 2 >= w * n0 * n0:
+        return False
+    num, den = _cr_ratio(n0, (r - 1) * n0 + 2 * r - 6, u, w)
+    return num > (zarankiewicz(r) - 1) * den
 
 
 def tail_certificate(r: int, p, n0: int) -> TailCertificate:
     """Evaluate the three tail conditions exactly; invalid certificates are
     returned, not raised."""
     p = _as_exact(p)
+    if not (isinstance(r, int) and isinstance(n0, int)):
+        raise TypeError(f"r and n0 must be ints, got r={r!r}, n0={n0!r}")
     if n0 < max(10, r + 5):
         raise ValueError(f"n0 must be >= max(10, r+5), got n0={n0} for r={r}")
     if not 0 < p <= 1:
         raise ValueError(f"p must be in (0, 1], got {p}")
     slope = 2 * (r - 1) / p**2 - _F(103, 6) / p**3
     tail_term = 5 * n0**2 * (1 - p) ** (n0 - 2) / p**4
-    decreasing = (1 - p) * _F(n0 + 1, n0) ** 2 < 1
-    anchor = slope * n0 + _tail_intercept(r, p) - tail_term
-    valid = slope > 0 and decreasing and math.ceil(anchor) >= zarankiewicz(r)
-    return TailCertificate(r=r, p=p, n0=n0, slope=slope,
-                           tail_term_at_n0=tail_term, valid=valid)
+    return TailCertificate(r=r, p=p, n0=n0, slope=slope, tail_term_at_n0=tail_term,
+                           valid=_tail_valid(r, p.numerator, p.denominator, n0))
 
 
 def _case_row(r: int, n: int, m_min: int, target: int) -> CaseRow:
@@ -210,19 +223,11 @@ def _search_tail(r: int) -> TailCertificate:
     """Smallest n0 <= 4r whose certificate validates, trying p = 1 and the
     optimizer's p at the KS edge count.  If none validates, the last attempt
     is returned (invalid) so that the row window still ends at 4r."""
-    last = None
     for n0 in range(max(10, r + 5), 4 * r + 1):
-        m = ks_edges(CriticalParams(r=r, n=n0)).m_min
-        candidates = [_F(1)]
-        p_opt = optimize_p(n0, m)
-        if p_opt not in candidates:
-            candidates.append(p_opt)
-        for p in candidates:
-            cert = tail_certificate(r, p, n0)
-            if cert.valid:
-                return cert
-            last = cert
-    return last
+        for p in (_F(1), optimize_p(n0, ks_edges(CriticalParams(r=r, n=n0)).m_min)):
+            if _tail_valid(r, p.numerator, p.denominator, n0):
+                return tail_certificate(r, p, n0)
+    return tail_certificate(r, p, n0)
 
 
 def small_n_note(r: int) -> str:
@@ -237,11 +242,7 @@ def verify_albertson(r: int) -> VerificationReport:
     if not 5 <= r <= 30:
         raise ValueError(f"r must be in [5, 30], got {r}")
     target = zarankiewicz(r)
-    anchor = TAIL_ANCHORS.get(r)
-    if anchor is not None:
-        tail = tail_certificate(r, anchor[0], anchor[1])
-    else:
-        tail = _search_tail(r)
+    tail = tail_certificate(r, *TAIL_ANCHORS[r]) if r in TAIL_ANCHORS else _search_tail(r)
     rows = []
     refined = []
     gaps = []

@@ -143,3 +143,34 @@ def test_replace_checks_a_validating_record(build, change):
 def test_replace_coerces_a_family_kind():
     spec = albertson.delta_splits(4)[0]._replace(kind="Catlin", sizes=(2,))
     assert spec.kind is albertson.FamilyKind.CATLIN and spec.r == 5
+
+
+# every count gate refuses a float: each call below went through in floats
+# when only p was checked for exactness
+@pytest.mark.parametrize("call", [
+    lambda a: a.cr_nmp(20.0, 100, "1/2"),
+    lambda a: a.cr_nmp(20, 100.0, "1/2"),
+    lambda a: a.linear_lower(20.0, 100),
+    lambda a: a.linear_lower(20, 100.0),
+    lambda a: a.crossing_lemma_lower(20.0, 100),
+    lambda a: a.counting_lower(20.0, 100, a.SamplingParams(6)),
+    lambda a: a.counting_lower(20, 100.0, a.SamplingParams(6)),
+    lambda a: a.optimize_p(20.0, 100),
+    lambda a: a.optimize_p(20, 100.0),
+    lambda a: a.min_edges(a.CriticalParams(5.0, 10)),
+    lambda a: a.CriticalParams(5, 10.0),
+    lambda a: a.CriticalParams(5, 10)._replace(n=10.0),
+    lambda a: a.SamplingParams(6.0),
+    lambda a: a.zarankiewicz(7.0),
+    lambda a: a.bipartite_zarankiewicz(3.0, 4),
+    lambda a: a.bipartite_zarankiewicz(3, 4.0),
+    lambda a: a.tail_certificate(13.0, 1, 22),
+    lambda a: a.tail_certificate(13, 1, 22.0),
+], ids=["cr_nmp n", "cr_nmp m", "linear_lower n", "linear_lower m", "crossing_lemma_lower n",
+        "counting_lower n", "counting_lower m", "optimize_p n", "optimize_p m",
+        "CriticalParams r", "CriticalParams n", "CriticalParams _replace", "SamplingParams s",
+        "zarankiewicz", "bipartite_zarankiewicz a", "bipartite_zarankiewicz b",
+        "tail_certificate r", "tail_certificate n0"])
+def test_counts_must_be_ints(call):
+    with pytest.raises(TypeError, match="must be .*int"):
+        call(albertson)

@@ -21,6 +21,7 @@ from albertson import (
     cr_nmp,
     ks_edges,
     lemma357_check,
+    optimize_p,
     parse_report,
     remark2_check,
     render_report,
@@ -281,6 +282,118 @@ class TestTailCertificates:
         n = n0 + offset
         m = ks_edges(CriticalParams(r, n)).m_min
         assert cr_nmp(n, m, p).value >= zarankiewicz(r)
+
+
+# verify_albertson(r).tail as (p, n0, valid), recorded from the term-by-term
+# Fraction evaluation of the tail; r = 5..9 have no certificate and end on
+# the invalid last attempt at n0 = 4r
+SEARCHED_TAILS = {
+    5: (Fraction(1), 20, False),
+    6: (Fraction(1), 24, False),
+    7: (Fraction(1), 28, False),
+    8: (Fraction(1), 32, False),
+    9: (Fraction(1), 36, False),
+    10: (Fraction(1), 15, True),
+    11: (Fraction(1), 16, True),
+    12: (Fraction(1), 17, True),
+    13: (Fraction(1), 22, True),
+    14: (Fraction(1), 27, True),
+    15: (Fraction(191, 250), 28, True),
+    16: (Fraction(18, 25), 32, True),
+    17: (Fraction(681, 1000), 35, True),
+    18: (Fraction(129, 200), 38, True),
+    19: (Fraction(123, 200), 42, True),
+    20: (Fraction(117, 200), 45, True),
+    21: (Fraction(561, 1000), 49, True),
+    22: (Fraction(67, 125), 52, True),
+    23: (Fraction(257, 500), 56, True),
+    24: (Fraction(493, 1000), 59, True),
+    25: (Fraction(19, 40), 63, True),
+    26: (Fraction(457, 1000), 66, True),
+    27: (Fraction(441, 1000), 70, True),
+    28: (Fraction(17, 40), 73, True),
+    29: (Fraction(411, 1000), 77, True),
+    30: (Fraction(397, 1000), 80, True),
+}
+
+
+def _reference_certificate(r, p, n0):
+    """(slope, T(n0), h(n0), intercept, valid) of a tail certificate, each
+    evaluated term by term in Fractions, independently of cr(n, m, p)."""
+    slope = 2 * (r - 1) / p**2 - Fraction(103, 6) / p**3
+    tail_term = 5 * n0**2 * (1 - p) ** (n0 - 2) / p**4
+    decreasing = (1 - p) * Fraction(n0 + 1, n0) ** 2 < 1
+    intercept = (4 * r - 12) / p**2 + Fraction(103, 3) / p**4
+    anchor = slope * n0 + intercept - tail_term
+    valid = slope > 0 and decreasing and math.ceil(anchor) >= zarankiewicz(r)
+    return slope, tail_term, anchor, intercept, valid
+
+
+def _checked_certificate(r, p, n0):
+    """tail_certificate(r, p, n0), asserted equal to the Fraction reference."""
+    cert = tail_certificate(r, p, n0)
+    got = (cert.slope, cert.tail_term_at_n0, cert.anchor_value, cert.intercept, cert.valid)
+    assert got == _reference_certificate(r, p, n0), (r, p, n0)
+    return cert
+
+
+def _tail_orders(r):
+    return range(max(10, r + 5), 4 * r + 11)
+
+
+class TestTailAgainstFractionReference:
+    ANCHOR_PS = frozenset(p for p, _ in TAIL_ANCHORS.values())
+
+    def test_grid_matches(self):
+        outcomes = set()
+        for r in range(5, 31):
+            for n0 in _tail_orders(r):
+                # a stride of the 1/1000 grid whose offset moves with n0
+                ps = {Fraction(k, 1000) for k in range(1 + n0 % 167, 1001, 167)}
+                for p in ps | {Fraction(1)} | self.ANCHOR_PS:
+                    outcomes.add(_checked_certificate(r, p, n0).valid)
+        assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("r", range(10, 31))  # 103/(12(r-1)) <= 1 from r = 10
+    def test_slope_zero_boundary(self, r):
+        p = Fraction(103, 12 * (r - 1))
+        for n0 in _tail_orders(r):
+            cert = _checked_certificate(r, p, n0)
+            assert cert.slope == 0 and not cert.valid
+        if r <= 12:
+            # T is decreasing and ceil(h(n0)) clears Z(r) here, so only a
+            # strict slope test refuses this certificate
+            cert = tail_certificate(r, p, r + 5)
+            assert (1 - p) * Fraction(r + 6, r + 5) ** 2 < 1
+            assert math.ceil(cert.anchor_value) >= zarankiewicz(r)
+
+    def test_tail_flat_boundary(self):
+        for r in range(5, 31):
+            for n0 in _tail_orders(r):
+                p = Fraction(2 * n0 + 1, (n0 + 1) ** 2)
+                cert = _checked_certificate(r, p, n0)
+                assert tail_certificate(r, p, n0 + 1).tail_term_at_n0 == cert.tail_term_at_n0
+                # for n0 >= r + 5 the slope is negative wherever T is flat,
+                # so a positive slope implies a decreasing T and condition
+                # (b) never decides `valid` on its own
+                assert cert.slope < 0 and not cert.valid
+
+    def test_target_boundary(self):
+        # h(22) = 674/3 lies in (Z(13) - 1, Z(13)]: its ceiling is the target
+        assert _checked_certificate(13, Fraction(1), 22).valid
+
+    def test_anchor_is_cr_nmp_at_the_ks_count(self):
+        for r in range(5, 31):
+            for n0 in _tail_orders(r):
+                if (r - 1) * n0 % 2:
+                    continue
+                m = ((r - 1) * n0 + 2 * r - 6) // 2
+                for p in {Fraction(1), optimize_p(n0, m)} | self.ANCHOR_PS:
+                    assert tail_certificate(r, p, n0).anchor_value == cr_nmp(n0, m, p).raw
+
+    def test_searched_tails_are_pinned(self):
+        tails = {r: verify_albertson(r).tail for r in range(5, 31)}
+        assert {r: (t.p, t.n0, t.valid) for r, t in tails.items()} == SEARCHED_TAILS
 
 
 class TestSmallNNote:
