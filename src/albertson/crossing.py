@@ -139,6 +139,9 @@ _LEMMA311 = Method(MethodKind.LEMMA311)
 
 _set = object.__setattr__
 _new = object.__new__
+# a record built as tuple.__new__(cls, fields), as a NamedTuple's own _make
+# does, skips the Python __new__ that NamedTuple generates
+_new_tuple = tuple.__new__
 
 
 class CrossingLowerBound:
@@ -214,9 +217,12 @@ def _clamp_ceil(num: int, den: int, method: Method) -> CrossingLowerBound:
     return bound
 
 
+_EQ4 = RULE_BY_ID[RuleId.EQ4]
+
+
 class _SamplingFields(NamedTuple):
     s: int
-    base: LinearRule = RULE_BY_ID[RuleId.EQ4]
+    base: LinearRule = _EQ4
 
 
 class SamplingParams(_SamplingFields):
@@ -224,8 +230,8 @@ class SamplingParams(_SamplingFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __new__(cls, s: int, base: LinearRule = _EQ4):
+        self = _new_tuple(cls, (s, base))
         if not isinstance(self.s, int):
             raise TypeError(f"s must be an int, got {self.s!r}")
         if self.s < 5:
@@ -331,7 +337,7 @@ def cr_nmp(n: int, m: int, p) -> CrossingLowerBound:
     if not 0 < u <= w:  # 0 < p <= 1, as w > 0
         raise ValueError(f"p must be in (0, 1], got {p}")
     num, den = _cr_ratio(n, 2 * m, u, w)
-    return _clamp_ceil(num, den, Method(MethodKind.PROBABILISTIC, None, p))
+    return _clamp_ceil(num, den, _new_tuple(Method, (MethodKind.PROBABILISTIC, None, p, None)))
 
 
 @functools.cache  # k is in 1..1000, so at most 1000 Fractions are kept
@@ -400,4 +406,4 @@ def counting_lower(n: int, m: int, params: SamplingParams) -> CrossingLowerBound
         raise ValueError(f"sample size s={s} exceeds n={n}")
     a_s, b_s, den = _counting_coefficients(params)
     return _clamp_ceil((n - 2) * (n - 3) * (a_s * m - b_s * n * (n - 1)), den,
-                       Method(MethodKind.COUNTING, params.base.id, None, s))
+                       _new_tuple(Method, (MethodKind.COUNTING, params.base.id, None, s)))

@@ -16,10 +16,10 @@ three regimes:
               T(n) = 5n^2 (1-p)^(n-2)/p^4; h(n0) is cr(n0, m, p) at the
               un-rounded 2m = (r-1)n0 + 2r-6.  If c > 0, T is decreasing
               from n0 on, and ceil(h(n0)) >= Z(r), then cr(G) >= Z(r) for
-              every n >= n0.  With p = u/w the three conditions are integer
-              sign tests: 12(r-1)u > 103w, (w-u)(n0+1)^2 < w*n0^2, and
-              num > (Z(r)-1)*den for h(n0) = num/den from crossing's one
-              evaluator of cr(n, m, p).
+              every n >= n0.  With p = u/w the conditions are integer sign
+              tests: 12(r-1)u > 103w, which for n0 >= r+5 implies the
+              decreasing T, and num > (Z(r)-1)*den for h(n0) = num/den from
+              crossing's one evaluator of cr(n, m, p).
 
 At n = 2r-2 an unsatisfied row gets one rescue attempt: the join refinement
 of the Gallai bound adds ceil((r-2)/2) edges and the row is recomputed.
@@ -82,8 +82,8 @@ class TailCertificate(typing.NamedTuple):
     (1-p)((n0+1)/n0)^2 < 1, and (c) ceil(h(n0)) >= Z(r) where h uses the
     un-rounded KS edge count ((r-1)n0 + 2r-6)/2 so that h stays linear in n
     apart from the shrinking tail term.  h(n0) is cr(n0, m, p) at
-    2m = (r-1)n0 + 2r-6, and with p = u/w the three conditions are the
-    integer sign tests of `_tail_valid`.
+    2m = (r-1)n0 + 2r-6, and with p = u/w the conditions are the integer
+    sign tests of `_tail_valid`, where (a) implies (b).
     """
 
     r: int
@@ -184,11 +184,20 @@ TAIL_ANCHORS: dict[int, tuple[Fraction, int]] = {
 
 
 def _tail_valid(r: int, u: int, w: int, n0: int) -> bool:
-    """The three tail conditions at p = u/w, each an integer sign test:
-    slope > 0, T decreasing at n0, and ceil(h(n0)) >= Z(r), i.e.
-    h(n0) > Z(r) - 1 with h(n0) = num/den from `_cr_ratio`."""
-    # 6p^3 * slope = 12(r-1)p - 103, and T(n0+1)/T(n0) = (1-p)((n0+1)/n0)^2
-    if 12 * (r - 1) * u <= 103 * w or (w - u) * (n0 + 1) ** 2 >= w * n0 * n0:
+    """The tail conditions at p = u/w for n0 >= r + 5 as integer sign tests:
+    slope > 0 and ceil(h(n0)) >= Z(r), i.e. h(n0) > Z(r) - 1 with
+    h(n0) = num/den from `_cr_ratio`.
+
+    The third condition, T decreasing at n0, follows from slope > 0, so it
+    is not tested.  The slope is positive iff p > 103/(12(r-1)), and T
+    decreases at n0 iff (1-p)((n0+1)/n0)^2 < 1, i.e. p > (2n0+1)/(n0+1)^2.
+    Every caller has n0 >= r + 5, so r - 1 <= n0 - 6 and
+    12(r-1)(2n0+1) <= 12(n0-6)(2n0+1) < 103(n0+1)^2.  So
+    103/(12(r-1)) > (2n0+1)/(n0+1)^2, and a p above the first is above the
+    second.
+    """
+    # 6p^3 * slope = 12(r-1)p - 103
+    if 12 * (r - 1) * u <= 103 * w:
         return False
     num, den = _cr_ratio(n0, (r - 1) * n0 + 2 * r - 6, u, w)
     return num > (zarankiewicz(r) - 1) * den
@@ -313,28 +322,77 @@ class SweepResult(typing.NamedTuple):
         return self.ok
 
 
+# the s = 52, inequality (4) counting bound as (A*s(s-1), B*(s-2), its denominator)
+_COUNTING52 = _counting_coefficients(SamplingParams(s=52))
+
+
+def _quartic_min(f, lo: int, hi: int) -> tuple[int, int]:
+    """(min f(n), smallest n attaining it) over n = lo, lo+2, ..., <= hi,
+    for lo <= hi and f an integer polynomial of degree at most 4 on that
+    progression.
+
+    The fourth forward difference d4 with step 2 is constant, so the walk
+    moves from n to n+2 by additions.  Once d2, d3 and d4 are all <= 0 they
+    stay so: d3 never rises, so d2 never rises, so every later second
+    difference is <= 0 and f is concave from n on.  A concave sequence takes
+    its minimum at an end, and an interior point can only tie the smaller
+    end when both ends are equal, so the walk stops and compares f at the
+    last n with the minimum so far.  A walk that never stops visits every
+    n, so the result is exact in every case.
+    """
+    f0, f1, f2, f3, f4 = f(lo), f(lo + 2), f(lo + 4), f(lo + 6), f(lo + 8)
+    d1, d2, d3 = f1 - f0, f2 - 2 * f1 + f0, f3 - 3 * f2 + 3 * f1 - f0
+    d4 = f4 - 4 * f3 + 6 * f2 - 4 * f1 + f0
+    last = hi - (hi - lo) % 2
+    best, best_n = f0, lo
+    g, n = f0, lo
+    while n < last:
+        if d2 <= 0 and d3 <= 0 and d4 <= 0:
+            g_last = f(last)
+            if g_last < best:
+                best, best_n = g_last, last
+            break
+        g += d1
+        d1 += d2
+        d2 += d3
+        d3 += d4
+        n += 2
+        if g < best:  # strict, so the smallest n wins ties
+            best, best_n = g, n
+    return best, best_n
+
+
 def lemma357_check(r: int) -> SweepResult:
     """Counting bound beats (1/64)r(r-1)(r-2)(r-3) for 3.57r <= n <= 4r.
 
     Uses m = ceil((r-1)n/2) (the minimum-degree count of an r-critical graph)
     and the s = 52 counting bound with inequality (4); requires strict
     inequality at every order.  The counting bound is num/den with den fixed
-    by s and the rule, so every margin is the integer 64*num - den*r(r-1)(r-2)(r-3)
-    over the one denominator 64*den.
+    by s and the rule, so every margin is the integer
+    gap(n) = 64*num - den*r(r-1)(r-2)(r-3) over the one denominator 64*den.
+
+    On one parity of n, m is linear in n, so gap is an integer quartic
+    there, and `_quartic_min` finds its minimum by forward differences,
+    stopping as soon as the rest of the class is concave.  On every r
+    checked (17..3016, 10^5, 10^6, 10^7) that holds at the first order of
+    each class, so the number of evaluations no longer grows with r: five
+    per class and one at its last order.  The smallest n wins ties, across
+    the classes too.
     """
+    if not isinstance(r, int):
+        raise TypeError(f"r must be an int, got {r!r}")
     if r < 17:
         raise ValueError(f"the counting-bound sweep is stated for r >= 17, got {r}")
     n_lo = -(-357 * r // 100)
     n_hi = 4 * r
-    target64 = r * (r - 1) * (r - 2) * (r - 3)
-    a_s, b_s, den = _counting_coefficients(SamplingParams(s=52))
-    target = den * target64
-    margin = argmin_n = None
-    for n in range(n_lo, n_hi + 1):
+    a_s, b_s, den = _COUNTING52
+    target = den * r * (r - 1) * (r - 2) * (r - 3)
+
+    def gap(n: int) -> int:
         m = -(-((r - 1) * n) // 2)
-        gap = 64 * (n - 2) * (n - 3) * (a_s * m - b_s * n * (n - 1)) - target
-        if margin is None or gap < margin:  # strict, so the smallest n wins ties
-            margin, argmin_n = gap, n
+        return 64 * (n - 2) * (n - 3) * (a_s * m - b_s * n * (n - 1)) - target
+
+    margin, argmin_n = min(_quartic_min(gap, n_lo, n_hi), _quartic_min(gap, n_lo + 1, n_hi))
     return SweepResult(ok=margin > 0, r=r, n_lo=n_lo, n_hi=n_hi,
                        min_margin=_F(margin, 64 * den), argmin_n=argmin_n)
 
@@ -348,6 +406,8 @@ def remark2_check(r: int) -> SweepResult:
     Step 1 rises with n and step 2 does not depend on n, so the smallest
     margin over the range is the one at n = r.
     """
+    if not isinstance(r, int):
+        raise TypeError(f"r must be an int, got {r!r}")
     if r < 14:
         raise ValueError(
             f"the chain needs m = (r-1)n/2 >= 103n/16, i.e. r >= 14, got {r}")

@@ -166,11 +166,13 @@ def test_replace_coerces_a_family_kind():
     lambda a: a.bipartite_zarankiewicz(3, 4.0),
     lambda a: a.tail_certificate(13.0, 1, 22),
     lambda a: a.tail_certificate(13, 1, 22.0),
+    lambda a: a.lemma357_check(17.0),
+    lambda a: a.remark2_check(14.0),
 ], ids=["cr_nmp n", "cr_nmp m", "linear_lower n", "linear_lower m", "crossing_lemma_lower n",
         "counting_lower n", "counting_lower m", "optimize_p n", "optimize_p m",
         "CriticalParams r", "CriticalParams n", "CriticalParams _replace", "SamplingParams s",
         "zarankiewicz", "bipartite_zarankiewicz a", "bipartite_zarankiewicz b",
-        "tail_certificate r", "tail_certificate n0"])
+        "tail_certificate r", "tail_certificate n0", "lemma357_check r", "remark2_check r"])
 def test_counts_must_be_ints(call):
     with pytest.raises(TypeError, match="must be .*int"):
         call(albertson)
