@@ -204,9 +204,8 @@ def _cmd_families(args) -> int:
     from .graph_lab import (build_family, chromatic_number, contains_topological_clique,
                             is_critical, serialize_graph6)
 
-    budget = args.budget or {}
-    coloring = budget.get("coloring")
-    subdivision = budget.get("subdivision")
+    coloring = args.budget.get("coloring")
+    subdivision = args.budget.get("subdivision")
     ok = True
     for spec in _family_specs(args):
         g = build_family(spec)
@@ -230,7 +229,6 @@ def _cmd_check_list(args) -> int:
     from .graph_lab import (chromatic_number, contains_topological_clique, is_critical,
                             parse_graph6)
 
-    budget = args.budget or {}
     try:
         with open(args.file, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -249,9 +247,9 @@ def _cmd_check_list(args) -> int:
             ok = False
             continue
         try:
-            chi = chromatic_number(g, max_n=budget.get("coloring"))
-            topological = contains_topological_clique(g, args.r, max_n=budget.get("subdivision"))
-            critical = is_critical(g, args.r, max_n=budget.get("coloring"))
+            chi = chromatic_number(g, max_n=args.budget.get("coloring"))
+            topological = contains_topological_clique(g, args.r, max_n=args.budget.get("subdivision"))
+            critical = is_critical(g, args.r, max_n=args.budget.get("coloring"))
         except BudgetExceededError as exc:
             print(f"{index}: budget exceeded: {exc}")
             ok = False
@@ -314,14 +312,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_sizes_arg, help="one explicit split, e.g. 3,1,3")
     p.add_argument("--k", type=int, help="Catlin parameter")
     p.add_argument("--n", type=int, help="Complete order")
-    p.add_argument("--budget", type=_budget_arg,
+    p.add_argument("--budget", type=_budget_arg, default={},
                    help="override search budgets, e.g. coloring=50,subdivision=24")
     p.set_defaults(func=_cmd_families)
 
     p = sub.add_parser("check-list", help="check a graph6 file of candidate r-critical graphs")
     p.add_argument("--file", required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--budget", type=_budget_arg,
+    p.add_argument("--budget", type=_budget_arg, default={},
                    help="override search budgets, e.g. coloring=50,subdivision=24")
     p.set_defaults(func=_cmd_check_list)
 

@@ -1,6 +1,6 @@
 """Exact small-graph laboratory for color-critical structure checks.
 
-Families:
+Families (one table row each, built by build_family):
 
   Delta(r)    2r-1 vertices: disjoint cliques A (size r-2) and B = B1 u B2
               (size r-1) with no A-B edges, plus two nonadjacent apexes,
@@ -14,67 +14,16 @@ Families:
               ceil(5k/2), the classical Hajós-conjecture counterexamples.
   Complete(n)  the complete graph.
 
-Each member is a clique on each part of its kind plus every edge between
-two linked parts, built from the kind's row of one table.
-
 A Graph stores adjacency bitmasks (bit v of masks[u] is the edge uv), and
-every algorithm below works on them; besides, once chromatic_number has run
-on it, it keeps the chi proved, a record that ==, hash and pickle ignore.
+every algorithm below works on them.
 
-Algorithms are exact and budget-guarded: chromatic number and criticality
-(below), simplicial counts in the degree-(n-1) sense, complement structure
-(components, triangles, and a maximum matching by the in-repo Edmonds blossom
-algorithm), and subdivision containment (topological K_t) by a branch-vertex
-recursion that takes each class of twins (equal closed or equal open
-neighborhoods) as a prefix in label order and cuts by a private-vertex
-count, which charges two private vertices to a pair whose ends share no
-neighbor off the set, then depth-first routing of chordless paths on
-bitmasks with reachability forward checks, which takes each twin class
-among the internal vertices as a prefix too: a step to a vertex whose next
-lower twin is still free mirrors the step to that twin, tried first.
-Budgets default to n <= 40 for coloring and n <= 20 for subdivision search
-and can be raised per call (max_n) or per command (--budget, e.g.
-"coloring=50,subdivision=24"); nothing else sets them, so every search
-answers from its arguments alone.  Unknown or repeated keys and negative
-values, a negative max_n included, raise ValueError.  Exceeding a budget,
-or the interpreter's recursion limit in a search, raises
-BudgetExceededError, never approximates.
-
-Chromatic number: when the complement is triangle-free, i.e. alpha(g) <= 2,
-every color class is one vertex or one non-edge, so a coloring with c
-colors pairs up n - c vertices along a matching of the complement, and a
-maximum matching of size nu gives chi = n - nu exactly, with no search.
-Otherwise k counts up from the largest greedy clique until one k-coloring
-kernel succeeds (DSATUR backtracking on adjacency and color bitmasks, with
-clique precoloring, forward checking, a fresh-color symmetry cap and a Hall
-count over greedy cliques).
-
-Criticality at r never computes chi: g must not be (r-1)-colorable, and
-every G-e must be; a fresh color on one end of e then r-colors g, so chi = r
-with every edge critical.  A chi that chromatic_number has proved and
-recorded on the same Graph object stands in for the refutation of g, so a
-caller that asks for chi first never refutes the same (r-1)-coloring
-twice, and chi != r answers False at once.  Once g is known not to be
-(r-1)-colorable, an (r-1)-coloring of G-e makes e = uv its one
-monochromatic edge of g, and the colorings come from two sound sources:
-
-  - the contraction G/uv (Zykov 1949): a coloring of G-uv that gives u and v
-    one color colors G/uv, and a coloring of G/uv gives u and v the color of
-    the merged vertex.  So G-uv is (r-1)-colorable iff G/uv is, and G/uv is
-    colored as g is refuted: by the matching when alpha(g) <= 2 (an
-    independent set of G/uv holding the merged vertex is one of g holding u,
-    so alpha(G/uv) <= alpha(g)), otherwise by the search;
-  - a recoloring move: if an end z of e has exactly one neighbor x of some
-    color b, recoloring z to b leaves zx the one monochromatic edge of g, so
-    the result colors G-zx.  (z has a neighbor of every color, else
-    recoloring it would color g.)  Moves are followed depth-first, and only
-    an edge that no move reached needs a contraction of its own.  A move is
-    tried only toward an open edge, one that no coloring has reached yet:
-    each vertex keeps a mask of its open edges, so the work per coloring
-    shrinks as edges close.
-
-Graphs read and write the graph6 text format (one graph per line) for
-exchanging externally published graph lists.
+Exact searches, each entered once per call through _run_search, which
+states the budget rules: chromatic_number (complement matching or DSATUR,
+_k_coloring), is_critical (the colorings of _edge_colorings, which states
+the criticality rules) and find_topological_clique (branch vertices, then
+_route).  Besides: simplicial counts, complement structure with an in-repo
+Edmonds matching (_max_matching), the Gallai equality family, and graph6
+text for exchanging externally published graph lists.
 """
 from __future__ import annotations
 
@@ -114,22 +63,30 @@ def _parse_budget(spec: str) -> dict[str, int]:
     return out
 
 
-def _check_budget(kind: str, n: int, max_n: int | None) -> None:
-    """Raise BudgetExceededError if n is over the vertex limit: max_n when
-    given, else the default for kind."""
-    limit, search = _BUDGETS[kind]
+def _run_search(kind: str, g: Graph, max_n: int | None, search, *args):
+    """search(*args), the exact search of g that one public call makes, and
+    the one guard on it: every search of the lab passes here exactly once.
+
+    The budget is a vertex limit per kind: by default n <= 40 for coloring
+    (chromatic number and criticality) and n <= 20 for subdivision search,
+    raised per call (max_n) or per command (--budget, e.g.
+    "coloring=50,subdivision=24"); nothing else sets it, so every search
+    answers from its arguments alone.  A max_n that is not an int raises
+    TypeError and a negative one ValueError, as unknown or repeated keys and
+    negative values in --budget do.  A graph over the limit, or a search
+    that recurses past the interpreter's recursion limit anywhere below
+    this call, raises BudgetExceededError: a search never approximates."""
+    limit, name = _BUDGETS[kind]
     if max_n is not None:
+        if not isinstance(max_n, int):
+            raise TypeError(f"max_n must be an int, got {max_n!r}")
         if max_n < 0:
             raise ValueError(f"budget must be >= 0, got max_n={max_n}")
         limit = max_n
-    if n > limit:
+    if g.vertex_count > limit:
         raise BudgetExceededError(
-            f"{search} budget is n <= {limit}, got n={n}; raise it via "
+            f"{name} budget is n <= {limit}, got n={g.vertex_count}; raise it via "
             f"max_n or --budget {kind}=<N>")
-
-
-def _run_search(kind: str, search, *args):
-    """search(*args); recursing past the interpreter's limit exceeds a budget."""
     try:
         return search(*args)
     except RecursionError:
@@ -214,10 +171,6 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph(n, itertools.combinations(range(n), 2))
-
-
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
@@ -246,13 +199,17 @@ class _FamilyFields(NamedTuple):
 class FamilySpec(_FamilyFields):
     """Construction recipe: part sizes for Delta (|A|, |B1|, |B2|) and
     EFamily (|A1|, |A2|, |B1|, |B2|), (k,) for Catlin and (n,) for
-    Complete.  A kind's value ("Delta") stands for its member.  Any other
-    kind, or sizes that no member of the kind has, raise ValueError at
-    construction, so every FamilySpec describes a graph."""
+    Complete.  A kind's value ("Delta") stands for its member.  A size that
+    is not an int raises TypeError at construction, and any other kind, or
+    sizes that no member of the kind has, ValueError, so every FamilySpec
+    describes a graph."""
 
     __slots__ = ()
 
     def __new__(cls, kind: FamilyKind | str, sizes: tuple[int, ...]) -> FamilySpec:
+        for size in sizes:
+            if not isinstance(size, int):
+                raise TypeError(f"each size must be an int, got {size!r}")
         kind = FamilyKind(kind)
         if kind is FamilyKind.DELTA:
             if len(sizes) != 3 or any(s < 1 for s in sizes):
@@ -318,6 +275,10 @@ def build_family(spec: FamilySpec) -> Graph:
     edges = [e for part in parts for e in itertools.combinations(part, 2)]
     edges.extend((u, v) for i, j in family.links for u in parts[i] for v in parts[j])
     return Graph(bounds[-1], edges)
+
+
+def complete_graph(n: int) -> Graph:
+    return build_family(FamilySpec(FamilyKind.COMPLETE, (n,)))
 
 
 def delta_splits(r: int) -> tuple[FamilySpec, ...]:
@@ -463,7 +424,7 @@ def _k_coloring(adj: Sequence[int], k: int, cliques: list[int]) -> list[int] | N
         uncolored ^= 1 << v
         if not assign(colors, uncolored, v, c):
             return None
-    return _run_search("coloring", solve, colors, uncolored, root.bit_count())
+    return solve(colors, uncolored, root.bit_count())
 
 
 def _complement_masks(adj: Sequence[int]) -> list[int]:
@@ -500,29 +461,61 @@ def _classes(mate: list[int]) -> list[int]:
 def chromatic_number(g: Graph, max_n: int | None = None) -> int:
     """Exact chromatic number.  With alpha(g) <= 2 it is n - nu(complement);
     otherwise k counts up from the largest clique found until the graph is
-    k-colorable.  The answer is recorded on g for is_critical to read."""
-    _check_budget("coloring", g.vertex_count, max_n)
-    adj = g.masks
+    k-colorable.  The answer is recorded on g for is_critical to read.
+
+    When the complement is triangle-free, i.e. alpha(g) <= 2, every color
+    class is one vertex or one non-edge, so a coloring with c colors pairs
+    up n - c vertices along a matching of the complement, and a maximum
+    matching of size nu gives chi = n - nu exactly, with no search."""
+    k = _run_search("coloring", g, max_n, _chromatic, g.masks)
+    object.__setattr__(g, "_chi", k)
+    return k
+
+
+def _chromatic(adj: Sequence[int]) -> int:
     comp = _complement_masks(adj)
     if not _has_triangle(comp):
-        k = max(_classes(_max_matching(comp)), default=-1) + 1
-    else:
-        cliques = _cliques(adj)
-        k = cliques[0].bit_count()
-        while _k_coloring(adj, k, cliques) is None:
-            k += 1
-    object.__setattr__(g, "_chi", k)
+        return max(_classes(_max_matching(comp)), default=-1) + 1
+    cliques = _cliques(adj)
+    k = cliques[0].bit_count()
+    while _k_coloring(adj, k, cliques) is None:
+        k += 1
     return k
 
 
 def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[int]]]:
     """Yield (e, an (r-1)-coloring of G-e) for each edge e of g, each edge
     once, if g is not (r-1)-colorable; stop at the first edge whose G-e is
-    not (r-1)-colorable either, and yield nothing if g is.  A chi that
-    chromatic_number recorded on g answers that question in place of the
-    oracle's refutation."""
+    not (r-1)-colorable either, and yield nothing if g is.  So g is
+    r-critical iff every edge is yielded: a fresh color on one end of e
+    r-colors g, so chi = r with every edge critical.
+
+    A chi that chromatic_number proved and recorded on g is read here and
+    nowhere else: chi = r stands in for the refutation of g, so a caller
+    that asks for chi first never refutes the same (r-1)-coloring twice,
+    and any other chi yields nothing at once, with no oracle call.
+
+    Once g is known not to be (r-1)-colorable, an (r-1)-coloring of G-e
+    makes e = uv its one monochromatic edge of g, and the colorings come
+    from two sound sources:
+
+      - the contraction G/uv (Zykov 1949): a coloring of G-uv that gives u
+        and v one color colors G/uv, and a coloring of G/uv gives u and v
+        the color of the merged vertex.  So G-uv is (r-1)-colorable iff
+        G/uv is, and G/uv is colored as g is refuted: by the complement
+        matching when alpha(g) <= 2 (an independent set of G/uv holding the
+        merged vertex is one of g holding u, so alpha(G/uv) <= alpha(g)),
+        otherwise by the DSATUR search;
+      - a recoloring move: if an end z of e has exactly one neighbor x of
+        some color b, recoloring z to b leaves zx the one monochromatic edge
+        of g, so the result colors G-zx.  (z has a neighbor of every color,
+        else recoloring it would color g.)  Moves are followed depth-first,
+        and only an edge that no move reached needs a contraction of its
+        own.  A move is tried only toward an open edge, one that no coloring
+        has reached yet: each vertex keeps a mask of its open edges, so the
+        work per coloring shrinks as edges close."""
     adj, k, chi = g.masks, r - 1, g._chi
-    if chi is not None and chi < r:
+    if chi is not None and chi != r:
         return
     # the matching colors exactly only when alpha <= 2, and alpha(G/uv) <=
     # alpha(g), so the choice made on g holds for every contraction
@@ -600,21 +593,17 @@ def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
     the empty graph (chi = 0) is critical.
 
     chi is never computed: g must not be (r-1)-colorable, so chi >= r, and
-    every G-e must be.  That is exact: an (r-1)-coloring of G-e, e = uv, plus
-    a fresh color on u r-colors g, so chi = r and every edge is critical
-    (with no edge, chi = min(n, 1)).  One oracle, the complement matching
-    when alpha(g) <= 2 and a DSATUR search otherwise, refutes g and colors
-    each G-uv through the contraction G/uv; recoloring moves spare most
-    edges a coloring of their own (module docstring).  When chromatic_number
-    has already proved chi on g, that chi stands in for the refutation: a chi
-    other than r answers False at once, after the budget check, and chi = r
-    goes straight to the edges.
+    every G-e must be (with no edge, chi = min(n, 1)).  _edge_colorings
+    decides both, and reads a chi that chromatic_number recorded on g.
     """
+    if not isinstance(r, int):
+        raise TypeError(f"r must be an int, got {r!r}")
     if r >= 2 and 0 in g.masks:
         return False
-    _check_budget("coloring", g.vertex_count, max_n)
-    if g._chi is not None and g._chi != r:
-        return False
+    return _run_search("coloring", g, max_n, _critical, g, r)
+
+
+def _critical(g: Graph, r: int) -> bool:
     if r <= 0 or not g.edge_count:
         return r == min(g.vertex_count, 1)
     return sum(1 for _ in _edge_colorings(g, r)) == g.edge_count
@@ -630,6 +619,8 @@ def gallai_simplicial_check(g: Graph, r: int) -> bool:
     """Check the simplicial-count theorem for a (caller-verified) r-critical
     graph: at least ceil((3/2)((5/3)r - n)) vertices of degree n-1, provided
     n < (5/3)r."""
+    if not isinstance(r, int):
+        raise TypeError(f"r must be an int, got {r!r}")
     n = g.vertex_count
     if 3 * n >= 5 * r:
         raise InapplicableRuleError(
@@ -952,11 +943,15 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
     Once a path closes, every remaining pair must again be joined through
     the vertices still free.
     """
+    if not isinstance(t, int):
+        raise TypeError(f"t must be an int, got {t!r}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    n = g.vertex_count
-    _check_budget("subdivision", n, max_n)
-    adj = g.masks
+    return _run_search("subdivision", g, max_n, _topological_clique, g.masks, t)
+
+
+def _topological_clique(adj: Sequence[int], t: int) -> SubdivisionWitness | None:
+    n = len(adj)
     degree = [mask.bit_count() for mask in adj]
     # highest degree first; sorted is stable under reverse, so lower label on ties
     candidates = sorted((v for v in range(n) if degree[v] >= t - 1),
@@ -1004,7 +999,7 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
                 return witness
         return None
 
-    return _run_search("subdivision", choose, 0, 0, 0, 0)
+    return choose(0, 0, 0, 0)
 
 
 def contains_topological_clique(g: Graph, t: int, max_n: int | None = None) -> bool:

@@ -204,8 +204,9 @@ def _tail_valid(r: int, u: int, w: int, n0: int) -> bool:
 
 
 def tail_certificate(r: int, p, n0: int) -> TailCertificate:
-    """Evaluate the three tail conditions exactly; invalid certificates are
-    returned, not raised."""
+    """The certificate for r, p and n0, decided exactly: valid tests slope
+    > 0 and ceil(h(n0)) >= Z(r), conditions (a) and (c) of TailCertificate,
+    since (a) implies (b).  Invalid certificates are returned, not raised."""
     p = _as_exact(p)
     if not (isinstance(r, int) and isinstance(n0, int)):
         raise TypeError(f"r and n0 must be ints, got r={r!r}, n0={n0!r}")
@@ -450,6 +451,8 @@ def catlin_check(k_max: int) -> CatlinReport:
     giving L(k); the asymptotic k^4 coefficients are 45/64 for L and
     625/1024 for R, so L(k) > R(k) for all large k.  Small k fail.
     """
+    if not isinstance(k_max, int):
+        raise TypeError(f"k_max must be an int, got {k_max!r}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     rows = []

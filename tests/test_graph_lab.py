@@ -40,7 +40,6 @@ from albertson import (
 )
 from albertson import cli
 from albertson.graph_lab import (
-    _check_budget,
     _classes,
     _cliques,
     _complement_masks,
@@ -971,6 +970,52 @@ class TestBudgets:
             search(Graph(0), -1)
         search(Graph(0), 0)
 
+    @pytest.mark.parametrize("search", [
+        lambda g: chromatic_number(g),
+        lambda g: is_critical(g, 5),
+    ], ids=["chromatic_number", "is_critical"])
+    def test_recursion_error_in_the_matching_is_a_budget_error(self, monkeypatch, search):
+        # Delta5 has alpha = 2, so both searches take the complement
+        # matching, which recurses nowhere; a recursion limit reached there
+        # all the same (a caller close to it) stops the search like any other
+        def deep(adj):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("albertson.graph_lab._max_matching", deep)
+        limit = sys.getrecursionlimit()
+        with pytest.raises(BudgetExceededError,
+                           match=f"^coloring search exceeds the recursion limit {limit}$"):
+            search(build_family(delta_splits(5)[1]))
+
+    @pytest.mark.parametrize("k, search, entries", [
+        (4, lambda g: is_critical(g, 4), 1),
+        (5, lambda g: is_critical(g, 5), 1),
+        (4, lambda g: is_critical(g, 3), 1),
+        (4, lambda g: chromatic_number(g), 1),
+        (4, lambda g: find_topological_clique(g, 5), 1),
+        (4, lambda g: contains_topological_clique(g, 4), 1),
+        (None, lambda g: is_critical(g, 5), 1),
+        (None, lambda g: chromatic_number(g), 1),
+        (None, lambda g: is_critical(Graph(g.vertex_count + 1, g.edges), 5), 0),
+    ], ids=["M4 critical", "M5 critical", "M4 critical(3)", "M4 chi", "M4 TK5", "M4 TK4",
+            "Delta5 critical", "Delta5 chi", "isolated vertex"])
+    def test_each_search_enters_the_guard_once(self, monkeypatch, k, search, entries):
+        # the budget check and the recursion stop are made once per public
+        # call, however many colorings a criticality check runs below them;
+        # an isolated vertex answers before any search.  The graph is the
+        # Mycielski graph M_k, or Delta5 when k is None
+        g = build_family(delta_splits(5)[1]) if k is None else _mycielski_k(k)
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _run_search(*args)
+
+        monkeypatch.setattr("albertson.graph_lab._run_search", counted)
+        search(g)
+        assert calls == entries
+
     def test_environment_changes_nothing(self, monkeypatch, capsys):
         # the budgets come from the arguments alone, so no variable of the
         # caller's environment can lower, raise or break them
@@ -1091,6 +1136,25 @@ class TestRecordedChi:
         assert is_critical(g, r)
         assert calls == fresh_calls - 1 >= 1
 
+    @pytest.mark.parametrize("name, r, kernel", [("Delta8", 8, _max_matching),
+                                                 ("M4", 4, _k_coloring)], ids=["Delta8", "M4"])
+    def test_other_recorded_chi_calls_no_oracle(self, monkeypatch, name, r, kernel):
+        # a recorded chi other than r answers at once, below r and above it
+        g = build_family(delta_splits(8)[2]) if name == "Delta8" else _mycielski_k(4)
+        assert chromatic_number(g) == r
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(f"albertson.graph_lab.{kernel.__name__}", counted)
+        for other in (r - 1, r + 1):
+            assert list(_edge_colorings(g, other)) == []
+            assert not is_critical(g, other)
+        assert calls == 0
+
     def test_record_is_invisible(self):
         g = complete_graph(4).without_edge(1, 3)
         plain = Graph(g.vertex_count, g.edges)
@@ -1135,8 +1199,10 @@ class TestRecordedChi:
 # inline, before the moves were read off per-vertex open-edge masks and
 # before a root was matched straight to a free neighbor, copied statement
 # for statement; only docstrings, comments and type hints are left out and a
-# _ref prefix marks the names they define and call.  The fast kernels must
-# return, and yield, exactly what these do.
+# _ref prefix marks the names they define and call.  The guard calls alone
+# follow graph_lab: _ref_k_coloring calls solve directly, as _k_coloring
+# does, since the one guard sits at each public search.  The fast kernels
+# must return, and yield, exactly what these do.
 
 
 def _ref_bits(mask: int):
@@ -1204,7 +1270,7 @@ def _ref_k_coloring(adj, k, cliques):
         uncolored ^= 1 << v
         if not assign(colors, uncolored, v, c):
             return None
-    return _run_search("coloring", solve, colors, uncolored, root.bit_count())
+    return solve(colors, uncolored, root.bit_count())
 
 
 def _ref_has_triangle(adj):
@@ -1409,7 +1475,8 @@ class TestKernelIdentity:
 # same way as the kernels above.  The search must find exactly the witness
 # these find, in no more calls of choose and no more routing steps (calls of
 # extend), and verify must accept exactly the witnesses the reference
-# accepts.
+# accepts.  The guard calls alone follow graph_lab: one _run_search around
+# choose checks the budget and stops the recursion.
 
 
 def _ref_verify(self, g):
@@ -1483,7 +1550,6 @@ def _ref_find_topological_clique(g, t, max_n=None):
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     n = g.vertex_count
-    _check_budget("subdivision", n, max_n)
     if t == 0:
         return SubdivisionWitness(t=0, branch_vertices=(), paths=())
     adj = g.masks
@@ -1510,7 +1576,7 @@ def _ref_find_topological_clique(g, t, max_n=None):
                     return witness
         return None
 
-    return _run_search("subdivision", choose, 0, 0, 0, 0)
+    return _run_search("subdivision", g, max_n, choose, 0, 0, 0, 0)
 
 
 def _witness_and_nodes(find, *args):

@@ -168,11 +168,26 @@ def test_replace_coerces_a_family_kind():
     lambda a: a.tail_certificate(13, 1, 22.0),
     lambda a: a.lemma357_check(17.0),
     lambda a: a.remark2_check(14.0),
+    lambda a: a.FamilySpec("Catlin", (2.5,)),
+    lambda a: a.FamilySpec("Delta", (2.0, 1, 2)),
+    lambda a: a.delta_splits(4)[0]._replace(sizes=(2.0, 1, 2)),
+    lambda a: a.complete_graph(5.0),
+    lambda a: a.is_critical(a.Graph(1), 1.0),
+    lambda a: a.find_topological_clique(a.complete_graph(5), 5.0),
+    lambda a: a.gallai_simplicial_check(a.complete_graph(5), 5.0),
+    lambda a: a.catlin_check(3.0),
+    lambda a: a.chromatic_number(a.complete_graph(3), max_n=3.5),
+    lambda a: a.is_critical(a.complete_graph(3), 3, max_n=3.5),
+    lambda a: a.find_topological_clique(a.complete_graph(3), 3, max_n=3.5),
 ], ids=["cr_nmp n", "cr_nmp m", "linear_lower n", "linear_lower m", "crossing_lemma_lower n",
         "counting_lower n", "counting_lower m", "optimize_p n", "optimize_p m",
         "CriticalParams r", "CriticalParams n", "CriticalParams _replace", "SamplingParams s",
         "zarankiewicz", "bipartite_zarankiewicz a", "bipartite_zarankiewicz b",
-        "tail_certificate r", "tail_certificate n0", "lemma357_check r", "remark2_check r"])
+        "tail_certificate r", "tail_certificate n0", "lemma357_check r", "remark2_check r",
+        "FamilySpec Catlin k", "FamilySpec Delta size", "FamilySpec _replace", "complete_graph n",
+        "is_critical r", "find_topological_clique t", "gallai_simplicial_check r",
+        "catlin_check k_max", "chromatic_number max_n", "is_critical max_n",
+        "find_topological_clique max_n"])
 def test_counts_must_be_ints(call):
     with pytest.raises(TypeError, match="must be .*int"):
         call(albertson)
