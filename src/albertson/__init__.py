@@ -40,7 +40,6 @@ _EXPORTS = {
         "counting_lower",
         "cr_nmp",
         "crossing_lemma_lower",
-        "klerk_lower",
         "linear_lower",
         "optimize_p",
         "zarankiewicz",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import InapplicableRuleError
+from .errors import InapplicableRuleError, _count
 
 
 class Rule(Enum):
@@ -47,10 +47,9 @@ class CriticalParams(_CriticalFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not (isinstance(self.r, int) and isinstance(self.n, int)):
-            raise TypeError(f"r and n must be ints, got r={self.r!r}, n={self.n!r}")
-        if self.r < 4:
-            raise ValueError(f"r must be >= 4, got {self.r}")
+        # n's type first, so that a non-int count precedes the range of r
+        _count("n", self.n)
+        _count("r", self.r, 4)
         if self.n < self.r:
             raise ValueError(f"n must be >= r, got n={self.n}, r={self.r}")
         return self

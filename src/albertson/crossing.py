@@ -58,11 +58,12 @@ the unreduced pair and becomes a Fraction only when it is read.
 
 Reference values for complete graphs: the Zarankiewicz count
 Z(r) = (1/4)*floor(r/2)*floor((r-1)/2)*floor((r-2)/2)*floor((r-3)/2) is an
-upper bound for cr(K_r) (conjectured exact), cr(K_r) >= ceil(0.86*Z(r)) is
-the best proven lower bound, and floor(a/2)floor((a-1)/2)floor(b/2)floor((b-1)/2)
-is the conjectured cr(K_{a,b}).
+upper bound for cr(K_r) (conjectured exact; the best proven lower bound is
+about 0.86*Z(r) for large r, de Klerk, Pasechnik and Schrijver 2007), and
+floor(a/2)floor((a-1)/2)floor(b/2)floor((b-1)/2) is the conjectured cr(K_{a,b}).
 
 All arithmetic is exact; `raw` values read as Fractions, `value` = max(0, ceil(raw)).
+Every count passes `errors._count`, and p passes `_as_exact` (exact, in (0, 1]).
 """
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .choices import RuleId
-from .errors import InapplicableRuleError
+from .errors import InapplicableRuleError, _count
 
 _F = Fraction
 
@@ -232,8 +233,7 @@ class SamplingParams(_SamplingFields):
 
     def __new__(cls, s: int, base: LinearRule = _EQ4):
         self = _new_tuple(cls, (s, base))
-        if not isinstance(self.s, int):
-            raise TypeError(f"s must be an int, got {self.s!r}")
+        _count("s", self.s)
         if self.s < 5:
             raise ValueError(f"sample size must be >= 5, got {self.s}")
         return self
@@ -247,10 +247,8 @@ class SamplingParams(_SamplingFields):
 def _check_counts(n: int, m: int) -> None:
     """n and m are ints, so that no float reaches the integer kernels, and
     m >= 0."""
-    if not (isinstance(n, int) and isinstance(m, int)):
-        raise TypeError(f"n and m must be ints, got n={n!r}, m={m!r}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    _count("n", n)
+    _count("m", m, 0)
 
 
 def linear_lower(n: int, m: int) -> CrossingLowerBound:
@@ -270,22 +268,14 @@ def linear_lower(n: int, m: int) -> CrossingLowerBound:
 
 def zarankiewicz(r: int) -> int:
     """Z(r), the conjectured crossing number of K_r and a proven upper bound."""
-    if not isinstance(r, int):
-        raise TypeError(f"r must be an int, got {r!r}")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _count("r", r, 1)
     return (r // 2) * ((r - 1) // 2) * ((r - 2) // 2) * ((r - 3) // 2) // 4
-
-
-def klerk_lower(r: int) -> int:
-    """Best proven lower bound for cr(K_r): ceil(0.86 * Z(r))."""
-    return math.ceil(_F(86, 100) * zarankiewicz(r))
 
 
 def bipartite_zarankiewicz(a: int, b: int) -> int:
     """Conjectured crossing number of K_{a,b} (exact for min(a,b) <= 6)."""
-    if not (isinstance(a, int) and isinstance(b, int)):
-        raise TypeError(f"part sizes must be ints, got {a!r}, {b!r}")
+    _count("a", a)
+    _count("b", b)
     if a < 1 or b < 1:
         raise ValueError(f"part sizes must be >= 1, got {a}, {b}")
     return (a // 2) * ((a - 1) // 2) * (b // 2) * ((b - 1) // 2)
@@ -294,8 +284,7 @@ def bipartite_zarankiewicz(a: int, b: int) -> int:
 def crossing_lemma_lower(n: int, m: int) -> CrossingLowerBound:
     """Best applicable cubic bound m^3/(64 n^2) or m^3/(31.1 n^2)."""
     _check_counts(n, m)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _count("n", n, 1)
     # m >= 103n/16 implies m >= 4n, and 10/311 > 1/64: where the 31.1 form
     # applies it wins
     if 16 * m >= 103 * n:
@@ -308,9 +297,15 @@ def crossing_lemma_lower(n: int, m: int) -> CrossingLowerBound:
 
 
 def _as_exact(p) -> Fraction:
+    """The one gate on p: exact (a float raises TypeError) and in (0, 1]
+    (ValueError), returned as a Fraction."""
     if isinstance(p, float):
         raise TypeError("p must be exact (Fraction, int or string), not float")
-    return p if type(p) is Fraction else _F(p)
+    if type(p) is not Fraction:
+        p = _F(p)
+    if not 0 < p.numerator <= p.denominator:  # 0 < p <= 1, as the denominator is > 0
+        raise ValueError(f"p must be in (0, 1], got {p}")
+    return p
 
 
 def _cr_ratio(n: int, twice_m: int, u: int, w: int) -> tuple[int, int]:
@@ -329,13 +324,11 @@ def cr_nmp(n: int, m: int, p) -> CrossingLowerBound:
     Any rational p in (0,1] gives a valid lower bound; at p = 1 the formula
     collapses to inequality (4).
     """
-    p = _as_exact(p)
     _check_counts(n, m)
     if n < 10:
         raise ValueError(f"cr(n,m,p) needs n >= 10, got {n}")
+    p = _as_exact(p)
     u, w = p.numerator, p.denominator
-    if not 0 < u <= w:  # 0 < p <= 1, as w > 0
-        raise ValueError(f"p must be in (0, 1], got {p}")
     num, den = _cr_ratio(n, 2 * m, u, w)
     return _clamp_ceil(num, den, _new_tuple(Method, (MethodKind.PROBABILISTIC, None, p, None)))
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one gate on counts."""
 
 
 class AlbertsonError(Exception):
@@ -24,3 +24,14 @@ class Graph6Error(AlbertsonError, ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+def _count(name: str, value, minimum: int | None = None) -> None:
+    """The one gate on a count: value must be an int, or TypeError names it,
+    and at least minimum when one is given, or ValueError.  Every count
+    passes here before any other test of it, so no float reaches the exact
+    arithmetic."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")

@@ -33,7 +33,7 @@ from collections.abc import Callable, Iterator, Sequence
 from typing import NamedTuple
 
 from .choices import FamilyKind
-from .errors import BudgetExceededError, Graph6Error, InapplicableRuleError
+from .errors import BudgetExceededError, Graph6Error, InapplicableRuleError, _count
 
 # budget key -> (default vertex limit, search named in the error message)
 _BUDGETS = {"coloring": (40, "chromatic_number"), "subdivision": (20, "subdivision")}
@@ -78,8 +78,7 @@ def _run_search(kind: str, g: Graph, max_n: int | None, search, *args):
     this call, raises BudgetExceededError: a search never approximates."""
     limit, name = _BUDGETS[kind]
     if max_n is not None:
-        if not isinstance(max_n, int):
-            raise TypeError(f"max_n must be an int, got {max_n!r}")
+        _count("max_n", max_n)
         if max_n < 0:
             raise ValueError(f"budget must be >= 0, got max_n={max_n}")
         limit = max_n
@@ -105,8 +104,7 @@ class Graph:
     _fields = ("vertex_count", "masks")
 
     def __init__(self, vertex_count: int, edges=()):
-        if vertex_count < 0:
-            raise ValueError(f"vertex_count must be >= 0, got {vertex_count}")
+        _count("vertex_count", vertex_count, 0)
         masks = [0] * vertex_count
         for u, v in edges:
             if u == v:
@@ -172,6 +170,7 @@ class Graph:
 
 
 def cycle_graph(n: int) -> Graph:
+    _count("n", n)
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
     return Graph(n, ((i, (i + 1) % n) for i in range(n)))
@@ -208,8 +207,7 @@ class FamilySpec(_FamilyFields):
 
     def __new__(cls, kind: FamilyKind | str, sizes: tuple[int, ...]) -> FamilySpec:
         for size in sizes:
-            if not isinstance(size, int):
-                raise TypeError(f"each size must be an int, got {size!r}")
+            _count("each size", size)
         kind = FamilyKind(kind)
         if kind is FamilyKind.DELTA:
             if len(sizes) != 3 or any(s < 1 for s in sizes):
@@ -283,6 +281,7 @@ def complete_graph(n: int) -> Graph:
 
 def delta_splits(r: int) -> tuple[FamilySpec, ...]:
     """All Delta(r) part-size splits (|B1|, |B2|) with both sides nonempty."""
+    _count("r", r)
     if r < 3:
         raise ValueError(f"Delta family needs r >= 3, got {r}")
     return tuple(FamilySpec(FamilyKind.DELTA, (r - 2, b1, r - 1 - b1))
@@ -291,6 +290,7 @@ def delta_splits(r: int) -> tuple[FamilySpec, ...]:
 
 def efamily_splits(r: int) -> tuple[FamilySpec, ...]:
     """All admissible EFamily(r) splits (|A1|, |A2|, |B1|, |B2|)."""
+    _count("r", r)
     if r < 3:
         raise ValueError(f"EFamily needs r >= 3, got {r}")
     specs = []
@@ -596,8 +596,7 @@ def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
     every G-e must be (with no edge, chi = min(n, 1)).  _edge_colorings
     decides both, and reads a chi that chromatic_number recorded on g.
     """
-    if not isinstance(r, int):
-        raise TypeError(f"r must be an int, got {r!r}")
+    _count("r", r)
     if r >= 2 and 0 in g.masks:
         return False
     return _run_search("coloring", g, max_n, _critical, g, r)
@@ -619,8 +618,7 @@ def gallai_simplicial_check(g: Graph, r: int) -> bool:
     """Check the simplicial-count theorem for a (caller-verified) r-critical
     graph: at least ceil((3/2)((5/3)r - n)) vertices of degree n-1, provided
     n < (5/3)r."""
-    if not isinstance(r, int):
-        raise TypeError(f"r must be an int, got {r!r}")
+    _count("r", r)
     n = g.vertex_count
     if 3 * n >= 5 * r:
         raise InapplicableRuleError(
@@ -943,10 +941,7 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
     Once a path closes, every remaining pair must again be joined through
     the vertices still free.
     """
-    if not isinstance(t, int):
-        raise TypeError(f"t must be an int, got {t!r}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _count("t", t, 0)
     return _run_search("subdivision", g, max_n, _topological_clique, g.masks, t)
 
 
@@ -1015,6 +1010,8 @@ def contains_topological_clique(g: Graph, t: int, max_n: int | None = None) -> b
 def gallai_equality_check(r: int, p: int) -> bool:
     """Every join of K_{r-p-1} with a Delta(p+1) member meets the Gallai
     count with equality: 2m = (r-1)n + p(r-p) - 2."""
+    _count("r", r)
+    _count("p", p)
     if not 2 <= p <= r - 1:
         raise ValueError(f"need 2 <= p <= r-1, got r={r}, p={p}")
     base = complete_graph(r - p - 1)

@@ -53,6 +53,7 @@ from .crossing import (
     optimize_p,
     zarankiewicz,
 )
+from .errors import _count
 
 _F = Fraction
 
@@ -207,13 +208,11 @@ def tail_certificate(r: int, p, n0: int) -> TailCertificate:
     """The certificate for r, p and n0, decided exactly: valid tests slope
     > 0 and ceil(h(n0)) >= Z(r), conditions (a) and (c) of TailCertificate,
     since (a) implies (b).  Invalid certificates are returned, not raised."""
-    p = _as_exact(p)
-    if not (isinstance(r, int) and isinstance(n0, int)):
-        raise TypeError(f"r and n0 must be ints, got r={r!r}, n0={n0!r}")
+    _count("r", r)
+    _count("n0", n0)
     if n0 < max(10, r + 5):
         raise ValueError(f"n0 must be >= max(10, r+5), got n0={n0} for r={r}")
-    if not 0 < p <= 1:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    p = _as_exact(p)
     slope = 2 * (r - 1) / p**2 - _F(103, 6) / p**3
     tail_term = 5 * n0**2 * (1 - p) ** (n0 - 2) / p**4
     return TailCertificate(r=r, p=p, n0=n0, slope=slope, tail_term_at_n0=tail_term,
@@ -249,6 +248,7 @@ def small_n_note(r: int) -> str:
 
 def verify_albertson(r: int) -> VerificationReport:
     """Run the whole case analysis for one r."""
+    _count("r", r)
     if not 5 <= r <= 30:
         raise ValueError(f"r must be in [5, 30], got {r}")
     target = zarankiewicz(r)
@@ -380,8 +380,7 @@ def lemma357_check(r: int) -> SweepResult:
     per class and one at its last order.  The smallest n wins ties, across
     the classes too.
     """
-    if not isinstance(r, int):
-        raise TypeError(f"r must be an int, got {r!r}")
+    _count("r", r)
     if r < 17:
         raise ValueError(f"the counting-bound sweep is stated for r >= 17, got {r}")
     n_lo = -(-357 * r // 100)
@@ -407,8 +406,7 @@ def remark2_check(r: int) -> SweepResult:
     Step 1 rises with n and step 2 does not depend on n, so the smallest
     margin over the range is the one at n = r.
     """
-    if not isinstance(r, int):
-        raise TypeError(f"r must be an int, got {r!r}")
+    _count("r", r)
     if r < 14:
         raise ValueError(
             f"the chain needs m = (r-1)n/2 >= 103n/16, i.e. r >= 14, got {r}")
@@ -451,10 +449,7 @@ def catlin_check(k_max: int) -> CatlinReport:
     giving L(k); the asymptotic k^4 coefficients are 45/64 for L and
     625/1024 for R, so L(k) > R(k) for all large k.  Small k fail.
     """
-    if not isinstance(k_max, int):
-        raise TypeError(f"k_max must be an int, got {k_max!r}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _count("k_max", k_max, 1)
     rows = []
     for k in range(1, k_max + 1):
         lower = 2 * zarankiewicz(2 * k) + zarankiewicz(k) + 3 * bipartite_zarankiewicz(k, k)

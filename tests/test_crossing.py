@@ -25,7 +25,6 @@ from albertson import (
     counting_lower,
     cr_nmp,
     crossing_lemma_lower,
-    klerk_lower,
     linear_lower,
     optimize_p,
     zarankiewicz,
@@ -141,14 +140,6 @@ class TestZarankiewicz:
             zarankiewicz(0)
         with pytest.raises(ValueError, match="part sizes must be >= 1, got 0, 3"):
             bipartite_zarankiewicz(0, 3)
-
-    @pytest.mark.parametrize("r,k", [(13, 194), (17, 675), (4, 0), (5, 1)])
-    def test_klerk(self, r, k):
-        assert klerk_lower(r) == k
-
-    def test_klerk_below_zarankiewicz(self):
-        for r in range(1, 61):
-            assert klerk_lower(r) <= zarankiewicz(r)
 
     @pytest.mark.parametrize("a,b,z", [
         (3, 3, 1), (4, 4, 4), (2, 100, 0), (5, 5, 16), (5, 6, 24),

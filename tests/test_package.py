@@ -19,6 +19,38 @@ SRC = Path(albertson.__file__).parent
 SUBMODULES = ("bounds", "choices", "crossing", "errors", "graph_lab", "verifier")
 
 
+# the reviewed public surface: a name joins or leaves only with an edit here
+PUBLIC_NAMES = (
+    # bounds
+    "CriticalParams", "EdgeBound", "Rule", "dirac_edges", "gallai_edges",
+    "join_refined_edges", "ks_edges", "min_edges",
+    # choices
+    "FamilyKind", "ReportFormat", "RuleId",
+    # crossing
+    "LINEAR_RULES", "RULE_BY_ID", "CrossingLowerBound", "LinearRule", "Method",
+    "MethodKind", "SamplingParams", "bipartite_zarankiewicz", "counting_lower", "cr_nmp",
+    "crossing_lemma_lower", "linear_lower", "optimize_p", "zarankiewicz",
+    # errors
+    "AlbertsonError", "BudgetExceededError", "Graph6Error", "InapplicableRuleError",
+    # graph_lab
+    "ComplementAnalysis", "FamilySpec", "Graph", "SubdivisionWitness", "build_family",
+    "chromatic_number", "complement_analysis", "complete_graph",
+    "contains_topological_clique", "cycle_graph", "delta_splits", "efamily_splits",
+    "find_topological_clique", "gallai_equality_check", "gallai_simplicial_check",
+    "is_critical", "join", "parse_graph6", "serialize_graph6", "simplicial_vertices",
+    # verifier
+    "REFERENCE_TABLES", "TAIL_ANCHORS", "CaseRow", "CatlinReport", "CatlinRow",
+    "SweepResult", "TailCertificate", "Verdict", "VerificationReport", "catlin_check",
+    "compare_with_reference", "lemma357_check", "parse_report", "remark2_check",
+    "render_report", "small_n_note", "table_rule_id", "tail_certificate", "verify_albertson",
+)
+
+
+def test_all_is_the_reviewed_list():
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 68
+    assert albertson.__all__ == sorted(PUBLIC_NAMES)
+
+
 def test_every_export_is_its_home_modules_object():
     for name in albertson.__all__:
         home = importlib.import_module(f"albertson.{albertson._HOME[name]}")
@@ -145,49 +177,58 @@ def test_replace_coerces_a_family_kind():
     assert spec.kind is albertson.FamilyKind.CATLIN and spec.r == 5
 
 
-# every count gate refuses a float: each call below went through in floats
-# when only p was checked for exactness
-@pytest.mark.parametrize("call", [
-    lambda a: a.cr_nmp(20.0, 100, "1/2"),
-    lambda a: a.cr_nmp(20, 100.0, "1/2"),
-    lambda a: a.linear_lower(20.0, 100),
-    lambda a: a.linear_lower(20, 100.0),
-    lambda a: a.crossing_lemma_lower(20.0, 100),
-    lambda a: a.counting_lower(20.0, 100, a.SamplingParams(6)),
-    lambda a: a.counting_lower(20, 100.0, a.SamplingParams(6)),
-    lambda a: a.optimize_p(20.0, 100),
-    lambda a: a.optimize_p(20, 100.0),
-    lambda a: a.min_edges(a.CriticalParams(5.0, 10)),
-    lambda a: a.CriticalParams(5, 10.0),
-    lambda a: a.CriticalParams(5, 10)._replace(n=10.0),
-    lambda a: a.SamplingParams(6.0),
-    lambda a: a.zarankiewicz(7.0),
-    lambda a: a.bipartite_zarankiewicz(3.0, 4),
-    lambda a: a.bipartite_zarankiewicz(3, 4.0),
-    lambda a: a.tail_certificate(13.0, 1, 22),
-    lambda a: a.tail_certificate(13, 1, 22.0),
-    lambda a: a.lemma357_check(17.0),
-    lambda a: a.remark2_check(14.0),
-    lambda a: a.FamilySpec("Catlin", (2.5,)),
-    lambda a: a.FamilySpec("Delta", (2.0, 1, 2)),
-    lambda a: a.delta_splits(4)[0]._replace(sizes=(2.0, 1, 2)),
-    lambda a: a.complete_graph(5.0),
-    lambda a: a.is_critical(a.Graph(1), 1.0),
-    lambda a: a.find_topological_clique(a.complete_graph(5), 5.0),
-    lambda a: a.gallai_simplicial_check(a.complete_graph(5), 5.0),
-    lambda a: a.catlin_check(3.0),
-    lambda a: a.chromatic_number(a.complete_graph(3), max_n=3.5),
-    lambda a: a.is_critical(a.complete_graph(3), 3, max_n=3.5),
-    lambda a: a.find_topological_clique(a.complete_graph(3), 3, max_n=3.5),
-], ids=["cr_nmp n", "cr_nmp m", "linear_lower n", "linear_lower m", "crossing_lemma_lower n",
-        "counting_lower n", "counting_lower m", "optimize_p n", "optimize_p m",
-        "CriticalParams r", "CriticalParams n", "CriticalParams _replace", "SamplingParams s",
-        "zarankiewicz", "bipartite_zarankiewicz a", "bipartite_zarankiewicz b",
-        "tail_certificate r", "tail_certificate n0", "lemma357_check r", "remark2_check r",
-        "FamilySpec Catlin k", "FamilySpec Delta size", "FamilySpec _replace", "complete_graph n",
-        "is_critical r", "find_topological_clique t", "gallai_simplicial_check r",
-        "catlin_check k_max", "chromatic_number max_n", "is_critical max_n",
-        "find_topological_clique max_n"])
-def test_counts_must_be_ints(call):
-    with pytest.raises(TypeError, match="must be .*int"):
+# every count gate refuses a float with one message, which names the
+# argument: each call below once went through in floats, or failed only
+# further in, on a derived value.  id -> (argument named, call)
+COUNT_GATES = {
+    "cr_nmp n": ("n", lambda a: a.cr_nmp(20.0, 100, "1/2")),
+    "cr_nmp m": ("m", lambda a: a.cr_nmp(20, 100.0, "1/2")),
+    "linear_lower n": ("n", lambda a: a.linear_lower(20.0, 100)),
+    "linear_lower m": ("m", lambda a: a.linear_lower(20, 100.0)),
+    "crossing_lemma_lower n": ("n", lambda a: a.crossing_lemma_lower(20.0, 100)),
+    "counting_lower n": ("n", lambda a: a.counting_lower(20.0, 100, a.SamplingParams(6))),
+    "counting_lower m": ("m", lambda a: a.counting_lower(20, 100.0, a.SamplingParams(6))),
+    "optimize_p n": ("n", lambda a: a.optimize_p(20.0, 100)),
+    "optimize_p m": ("m", lambda a: a.optimize_p(20, 100.0)),
+    "CriticalParams r": ("r", lambda a: a.min_edges(a.CriticalParams(5.0, 10))),
+    "CriticalParams n": ("n", lambda a: a.CriticalParams(5, 10.0)),
+    "CriticalParams _replace": ("n", lambda a: a.CriticalParams(5, 10)._replace(n=10.0)),
+    "SamplingParams s": ("s", lambda a: a.SamplingParams(6.0)),
+    "zarankiewicz": ("r", lambda a: a.zarankiewicz(7.0)),
+    "bipartite_zarankiewicz a": ("a", lambda a: a.bipartite_zarankiewicz(3.0, 4)),
+    "bipartite_zarankiewicz b": ("b", lambda a: a.bipartite_zarankiewicz(3, 4.0)),
+    "tail_certificate r": ("r", lambda a: a.tail_certificate(13.0, 1, 22)),
+    "tail_certificate n0": ("n0", lambda a: a.tail_certificate(13, 1, 22.0)),
+    "lemma357_check r": ("r", lambda a: a.lemma357_check(17.0)),
+    "remark2_check r": ("r", lambda a: a.remark2_check(14.0)),
+    "FamilySpec Catlin k": ("each size", lambda a: a.FamilySpec("Catlin", (2.5,))),
+    "FamilySpec Delta size": ("each size", lambda a: a.FamilySpec("Delta", (2.0, 1, 2))),
+    "FamilySpec _replace":
+        ("each size", lambda a: a.delta_splits(4)[0]._replace(sizes=(2.0, 1, 2))),
+    "complete_graph n": ("each size", lambda a: a.complete_graph(5.0)),
+    "is_critical r": ("r", lambda a: a.is_critical(a.Graph(1), 1.0)),
+    "find_topological_clique t":
+        ("t", lambda a: a.find_topological_clique(a.complete_graph(5), 5.0)),
+    "gallai_simplicial_check r":
+        ("r", lambda a: a.gallai_simplicial_check(a.complete_graph(5), 5.0)),
+    "catlin_check k_max": ("k_max", lambda a: a.catlin_check(3.0)),
+    "chromatic_number max_n":
+        ("max_n", lambda a: a.chromatic_number(a.complete_graph(3), max_n=3.5)),
+    "is_critical max_n": ("max_n", lambda a: a.is_critical(a.complete_graph(3), 3, max_n=3.5)),
+    "find_topological_clique max_n":
+        ("max_n", lambda a: a.find_topological_clique(a.complete_graph(3), 3, max_n=3.5)),
+    "delta_splits r": ("r", lambda a: a.delta_splits(5.0)),
+    "efamily_splits r": ("r", lambda a: a.efamily_splits(5.0)),
+    "cycle_graph n": ("n", lambda a: a.cycle_graph(5.0)),
+    "Graph vertex_count": ("vertex_count", lambda a: a.Graph(2.0)),
+    "gallai_equality_check r": ("r", lambda a: a.gallai_equality_check(6.0, 3)),
+    "gallai_equality_check p": ("p", lambda a: a.gallai_equality_check(6, 3.0)),
+    "verify_albertson r": ("r", lambda a: a.verify_albertson(13.0)),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_GATES)
+def test_counts_must_be_ints(case):
+    name, call = COUNT_GATES[case]
+    with pytest.raises(TypeError, match=rf"^{name} must be an int, got "):
         call(albertson)

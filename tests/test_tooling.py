@@ -1,9 +1,11 @@
-"""Source checks: no float takes part in the exact arithmetic layers, and
-the package runs without networkx.
+"""Source checks: no float takes part in the exact arithmetic layers, the
+count rule has one owner, and the package runs without networkx.
 
 An AST scan of every module of the package rejects every float literal and
 every `float(...)` call.  The only exemptions are the display helpers of
 `cli` and `verifier` that print a decimal rendering next to an exact value.
+A second scan rejects every `isinstance(..., int)` outside `errors._count`,
+the one gate on counts.
 networkx is a test-only oracle: a subprocess that blocks its import still
 runs the graph lab and the CLI.
 """
@@ -24,20 +26,26 @@ MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 # module -> functions whose bodies may use floats for display
 DISPLAY_ONLY = {"cli": {"_rational"}, "verifier": {"_fmt3", "_render_markdown"}}
 
+# module -> the function that owns the count rule
+COUNT_GATE = {"errors": {"_count"}}
 
-def float_uses(source: str, exempt: set[str]) -> list[str]:
-    """'line: what' for each float literal or float(...) call outside the
-    exempt functions."""
+
+def nodes_outside(source: str, exempt: set[str]) -> list[ast.AST]:
+    """Every AST node of source outside the bodies of the exempt functions."""
     tree = ast.parse(source)
     skipped = {id(node)
                for top in ast.walk(tree)
                if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
                and top.name in exempt
                for node in ast.walk(top)}
+    return [node for node in ast.walk(tree) if id(node) not in skipped]
+
+
+def float_uses(source: str, exempt: set[str]) -> list[str]:
+    """'line: what' for each float literal or float(...) call outside the
+    exempt functions."""
     found = []
-    for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
+    for node in nodes_outside(source, exempt):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
             found.append((node.lineno, f"float literal {node.value!r}"))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -46,14 +54,34 @@ def float_uses(source: str, exempt: set[str]) -> list[str]:
     return [f"{line}: {what}" for line, what in sorted(found)]
 
 
+def int_tests(source: str, exempt: set[str]) -> list[str]:
+    """'line: isinstance(..., int)' for each isinstance call that tests for
+    int, alone or in a tuple, outside the exempt functions."""
+    found = []
+    for node in nodes_outside(source, exempt):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(kind, ast.Name) and kind.id == "int" for kind in kinds):
+                found.append(node.lineno)
+    return [f"{line}: isinstance(..., int)" for line in sorted(found)]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_float_in_exact_layers(module):
     source = (SRC / f"{module}.py").read_text(encoding="utf-8")
     assert float_uses(source, DISPLAY_ONLY.get(module, set())) == []
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_counts_have_one_gate(module):
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert int_tests(source, COUNT_GATE.get(module, set())) == []
+
+
 def test_exempt_helpers_exist():
-    for module, exempt in DISPLAY_ONLY.items():
+    for module, exempt in [*DISPLAY_ONLY.items(), *COUNT_GATE.items()]:
         assert module in MODULES
         tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
         names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
@@ -66,6 +94,15 @@ def test_scan_catches_planted_floats():
               "def show(x):\n    return f'{float(x):.3f} {1e3}'\n"
               "def h(x):\n    return isinstance(x, float)\n")
     assert float_uses(source, {"show"}) == ["2: float literal 0.5", "4: float(...) call"]
+
+
+def test_scan_catches_planted_int_tests():
+    source = ("def f(n):\n    if not isinstance(n, int):\n        raise TypeError(n)\n"
+              "def g(n, m):\n    return isinstance(n, (str, int)) or isinstance(m, float)\n"
+              "def gate(n):\n    return isinstance(n, int)\n"
+              "def h(n):\n    return type(n) is int\n")
+    assert int_tests(source, {"gate"}) == ["2: isinstance(..., int)", "5: isinstance(..., int)"]
+    assert int_tests((SRC / "errors.py").read_text(encoding="utf-8"), set()) != []
 
 
 WITHOUT_NETWORKX = """
