@@ -27,11 +27,11 @@ class Graph6Error(AlbertsonError, ValueError):
 
 
 def _count(name: str, value, minimum: int | None = None) -> None:
-    """The one gate on a count: value must be an int, or TypeError names it,
-    and at least minimum when one is given, or ValueError.  Every count
-    passes here before any other test of it, so no float reaches the exact
-    arithmetic."""
-    if not isinstance(value, int):
+    """The one gate on a count: value must be an int other than a bool, or
+    TypeError names it, and at least minimum when one is given, or
+    ValueError.  Every count passes here before any other test of it, so no
+    float reaches the exact arithmetic.  A plain int pays one type test."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise TypeError(f"{name} must be an int, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")

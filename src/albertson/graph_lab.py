@@ -276,6 +276,7 @@ def build_family(spec: FamilySpec) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    _count("n", n)
     return build_family(FamilySpec(FamilyKind.COMPLETE, (n,)))
 
 
@@ -483,12 +484,45 @@ def _chromatic(adj: Sequence[int]) -> int:
     return k
 
 
-def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[int]]]:
-    """Yield (e, an (r-1)-coloring of G-e) for each edge e of g, each edge
-    once, if g is not (r-1)-colorable; stop at the first edge whose G-e is
-    not (r-1)-colorable either, and yield nothing if g is.  So g is
-    r-critical iff every edge is yielded: a fresh color on one end of e
-    r-colors g, so chi = r with every edge critical.
+def _twin_classes(adj: Sequence[int]) -> list[int]:
+    """The twin class of each vertex, as a bitmask that holds the vertex:
+    its true twins (the same closed neighborhood) or its false twins (the
+    same open one).  Swapping two twins is an automorphism that fixes every
+    other vertex.  No vertex has twins of both kinds: if u, v are true twins
+    and u, w false twins, then w is in N(v), within N[u], so w is in N(u) =
+    N(w).  So the classes partition the vertices.
+
+    One dict holds both kinds of key, since no closed neighborhood N[v] is
+    an open one N(w): that would put v in N(w), so w in N(v), within N[v] =
+    N(w), and no vertex is its own neighbor."""
+    members: dict[int, int] = {}
+    get = members.get
+    for v, mask in enumerate(adj):
+        bit = 1 << v
+        closed = mask | bit
+        members[mask] = get(mask, 0) | bit
+        members[closed] = get(closed, 0) | bit
+    return [members[mask] | members[mask | 1 << v] for v, mask in enumerate(adj)]
+
+
+def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[int], int]]:
+    """Yield (e, an (r-1)-coloring of G-e, the size of e's twin orbit) for
+    one edge e of each twin orbit of g, each orbit once, if g is not
+    (r-1)-colorable; stop at the first edge whose G-e is not (r-1)-colorable
+    either, and yield nothing if g is.  So g is r-critical iff the orbit
+    sizes add up to the edge count: a fresh color on one end of e r-colors
+    g, so chi = r with every edge critical.
+
+    Twin orbits: swapping two twins (_twin_classes) is an automorphism s of
+    g, so G-e and G-s(e) are isomorphic, and a coloring of G-e with the
+    colors of the two twins swapped colors G-s(e).  The orbit of an edge xy
+    under these swaps is every pair of class(x) x class(y), or, when x and
+    y are twins (true twins, so their class is a clique), every pair inside
+    their class; either way every pair of the orbit is an edge of g.  So
+    one coloring per orbit certifies all of its edges, and the first
+    coloring that reaches an edge closes its whole orbit.  A twin-free
+    graph has only singleton orbits, and the colorings are then one per
+    edge.
 
     A chi that chromatic_number proved and recorded on g is read here and
     nowhere else: chi = r stands in for the refutation of g, so a caller
@@ -510,10 +544,10 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
         some color b, recoloring z to b leaves zx the one monochromatic edge
         of g, so the result colors G-zx.  (z has a neighbor of every color,
         else recoloring it would color g.)  Moves are followed depth-first,
-        and only an edge that no move reached needs a contraction of its
-        own.  A move is tried only toward an open edge, one that no coloring
-        has reached yet: each vertex keeps a mask of its open edges, so the
-        work per coloring shrinks as edges close."""
+        and only an orbit that no move reached needs a contraction of its
+        own.  A move is tried only toward an open orbit, one that no
+        coloring has reached yet: each vertex keeps a mask of its edges in
+        open orbits, so the work per coloring shrinks as orbits close."""
     adj, k, chi = g.masks, r - 1, g._chi
     if chi is not None and chi != r:
         return
@@ -540,8 +574,21 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
             colors.insert(v, colors[u])  # v takes the color of u
         return colors
 
-    # open_[x]: the ends y of the edges xy that no coloring has reached yet
-    open_ = list(adj)
+    # open_[x]: the ends y of the edges xy whose orbit no coloring has reached
+    cls, open_ = _twin_classes(adj), list(adj)
+
+    def close(a: int, b: int) -> int:
+        """Close the orbit of the edge ab, cls[a] x cls[b], and return its
+        size; for twins a, b that is every pair of their class."""
+        ca, cb = cls[a], cls[b]
+        for ends, other in ((ca, cb), (cb, ca)):
+            while ends:
+                low = ends & -ends
+                open_[low.bit_length() - 1] &= ~other
+                ends ^= low
+        p = ca.bit_count()
+        return p * (p - 1) // 2 if ca == cb else p * cb.bit_count()
+
     for u in range(len(adj)):
         # edges below u are all reached, so the lowest open end is above u
         while open_[u]:
@@ -549,21 +596,20 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
             colors = color(u, v)
             if colors is None:
                 return
-            open_[u] ^= 1 << v
-            open_[v] ^= 1 << u
             classes = [0] * k
             for x, c in enumerate(colors):
                 classes[c] |= 1 << x
-            stack = [((u, v), colors, classes)]
+            stack = [((u, v), colors, classes, close(u, v))]
             while stack:
-                edge, colors, classes = stack.pop()
-                yield edge, colors
+                edge, colors, classes, size = stack.pop()
+                yield edge, colors, size
                 for z in edge:
                     # an end z whose only neighbor of color beta is x, on an
                     # open edge zx, moves to beta, and zx is the only edge
                     # left monochromatic (e, the one edge in z's own color,
                     # is closed); the moves go on the stack in ascending
-                    # beta, with at most one x per beta
+                    # beta, with at most one x per beta, and a move whose
+                    # orbit an earlier one closed is dropped
                     moves = []
                     near, rest = adj[z], open_[z]
                     while rest:
@@ -574,14 +620,15 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
                         if near & classes[beta] == low:
                             moves.append((beta, x))
                     for beta, x in sorted(moves):
-                        open_[z] ^= 1 << x
-                        open_[x] ^= 1 << z
+                        if not open_[z] >> x & 1:
+                            continue
                         recolored = colors[:]
                         recolored[z] = beta
                         reclassed = classes[:]
                         reclassed[colors[z]] &= ~(1 << z)
                         reclassed[beta] |= 1 << z
-                        stack.append(((z, x) if z < x else (x, z), recolored, reclassed))
+                        stack.append(((z, x) if z < x else (x, z), recolored, reclassed,
+                                      close(z, x)))
 
 
 def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
@@ -605,7 +652,7 @@ def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
 def _critical(g: Graph, r: int) -> bool:
     if r <= 0 or not g.edge_count:
         return r == min(g.vertex_count, 1)
-    return sum(1 for _ in _edge_colorings(g, r)) == g.edge_count
+    return sum(size for _, _, size in _edge_colorings(g, r)) == g.edge_count
 
 
 def simplicial_vertices(g: Graph) -> list[int]:
@@ -913,9 +960,8 @@ def find_topological_clique(g: Graph, t: int, max_n: int | None = None) -> Subdi
           routes is a prefix set: otherwise swapping a member for a lower
           twin off the set would give an earlier one that routes too.  So
           the first witness stays the same.  No vertex has twins of both
-          kinds (if u, v are true twins and u, w false twins, then w is in
-          N(v), within N[u], so w is in N(u) = N(w)), so one next-lower-twin
-          bit per vertex suffices, and routing reads the same bit.
+          kinds (_twin_classes), so one next-lower-twin bit per vertex
+          suffices, and routing reads the same bit.
 
     On a full branch set each open pair is first checked for a path through
     the free vertices, by a breadth-first search over bitmasks.  Then the
@@ -953,12 +999,11 @@ def _topological_clique(adj: Sequence[int], t: int) -> SubdivisionWitness | None
                         key=degree.__getitem__, reverse=True)
     free_all = (1 << n) - 1
     # twin[v]: the bit of v's next lower twin, 0 if it has none
-    twin, last_closed, last_open = [0] * n, {}, {}
-    for v, mask in enumerate(adj):
-        for last, key in ((last_closed, mask | 1 << v), (last_open, mask)):
-            if key in last:
-                twin[v] = 1 << last[key]
-            last[key] = v
+    twin = [0] * n
+    for v, cls in enumerate(_twin_classes(adj)):
+        below = cls & ((1 << v) - 1)
+        if below:
+            twin[v] = 1 << below.bit_length() - 1
 
     def choose(start: int, branch: int, size: int, private_need: int) -> SubdivisionWitness | None:
         if size == t:
@@ -1028,7 +1073,7 @@ def gallai_equality_check(r: int, p: int) -> bool:
 
 
 _G6_PREFIX = ">>graph6<<"
-_G6_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bits as compress selectors, no int() per bit
+_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}  # a graph6 byte -> its six bits
 
 
 def _g6_pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -1077,10 +1122,25 @@ def parse_graph6(text: str) -> Graph:
     if len(text) - pos > nchars:
         raise Graph6Error("trailing data after adjacency bytes",
                           offset=base + pos + nchars)
-    bits = "".join(format(value(i), "06b") for i in range(pos, len(text)))
+    bits = text[pos:].translate(_G6_BITS)
+    if len(bits) != 6 * nchars:  # a byte outside the range stays one character
+        for i in range(pos, len(text)):
+            value(i)  # raises at the first such byte
     if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bit", offset=base + len(text) - 1)
-    return Graph(n, itertools.compress(_g6_pairs(n), bits.encode().translate(_G6_FLAGS)))
+    # column v holds the rows u < v, lowest first, so reversed it reads as the
+    # binary numeral of v's lower neighbors; each is ORed into their masks
+    rev, end, masks = bits[::-1], len(bits), [0] * n
+    for v in range(1, n):
+        col = masks[v] = int(rev[end - v:end], 2)
+        end -= v
+        while col:
+            low = col & -col
+            masks[low.bit_length() - 1] |= 1 << v
+            col ^= low
+    g = Graph.__new__(Graph)
+    g.__setstate__((n, tuple(masks)))  # as unpickling builds it, with no edge list
+    return g
 
 
 def serialize_graph6(g: Graph) -> str:

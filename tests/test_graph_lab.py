@@ -11,7 +11,7 @@ import sys
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from albertson import (
     BudgetExceededError,
@@ -38,7 +38,7 @@ from albertson import (
     serialize_graph6,
     simplicial_vertices,
 )
-from albertson import cli
+from albertson import cli, graph_lab
 from albertson.graph_lab import (
     _classes,
     _cliques,
@@ -211,6 +211,40 @@ def _oracle_critical(g, r):
     isolated = any(g.degree(v) == 0 for v in range(g.vertex_count))
     return (_oracle_chromatic(g) == r and not (r >= 2 and isolated)
             and all(_oracle_chromatic(g.without_edge(*e)) < r for e in g.edges))
+
+
+def _twin_sets(g):
+    """For each vertex, the set of vertices with the same closed or the same
+    open neighborhood, itself included, by comparing the masks of g."""
+    masks, n = g.masks, g.vertex_count
+    return [{u for u in range(n) if masks[u] | 1 << u == masks[v] | 1 << v or masks[u] == masks[v]}
+            for v in range(n)]
+
+
+def _twin_orbit(twins, x, y):
+    """The edges that twin swaps map xy to: every pair inside the class of
+    x when y is a twin of x, else every pair of class(x) x class(y)."""
+    if y in twins[x]:
+        return {(a, b) for a in twins[x] for b in twins[x] if a < b}
+    return {(min(a, b), max(a, b)) for a in twins[x] for b in twins[y]}
+
+
+def _check_orbit_certificate(g, r, triples):
+    """Assert that the (e, coloring, orbit size) triples of _edge_colorings
+    certify every edge of g exactly once: the twin orbits of the yielded
+    edges, recomputed here from g alone, partition the edges of g, no orbit
+    comes twice, each claimed size is its orbit's size, and each coloring
+    properly (r-1)-colors G-e."""
+    twins, edges, covered = _twin_sets(g), g.edges, set()
+    for (x, y), colors, size in triples:
+        orbit = _twin_orbit(twins, x, y)
+        assert (x, y) in edges and orbit <= edges, (x, y)
+        assert not orbit & covered, (x, y)
+        assert size == len(orbit), (x, y, size)
+        covered |= orbit
+        assert len(colors) == g.vertex_count and set(colors) <= set(range(r - 1))
+        assert all(colors[u] != colors[v] for u, v in edges if (u, v) != (x, y)), (x, y)
+    assert covered == edges
 
 
 class TestGraphType:
@@ -564,17 +598,50 @@ class TestCriticality:
 
     @pytest.mark.parametrize("name", list(_CERTIFIED))
     def test_edge_colorings_certify_each_edge_once(self, name):
-        # one (r-1)-coloring of G-e per edge e, whether it came from the
-        # contraction G/e (by a search or a matching) or a recoloring move
+        # one (r-1)-coloring of G-e per twin orbit, whether it came from the
+        # contraction G/e (by a search or a matching) or a recoloring move,
+        # and every edge in exactly one yielded orbit
         rng = random.Random(name)
         graphs, r = _CERTIFIED[name]
         for g in graphs:
             g = _relabel(g, rng)
-            pairs = list(_edge_colorings(g, r))
-            assert sorted(e for e, _ in pairs) == sorted(g.edges)
-            for e, colors in pairs:
-                assert len(colors) == g.vertex_count and set(colors) <= set(range(r - 1))
-                assert all(colors[u] != colors[v] for u, v in g.edges if (u, v) != e)
+            _check_orbit_certificate(g, r, _edge_colorings(g, r))
+
+    def test_orbit_checker_rejects_a_non_twin_in_a_class(self, monkeypatch):
+        # the program run with one twin class widened by a vertex that is no
+        # twin of it: some claimed orbit then holds a non-twin pair
+        g = _relabel(build_family(delta_splits(6)[1]), random.Random(0x7A))
+        _check_orbit_certificate(g, 6, _edge_colorings(g, 6))
+        real = graph_lab._twin_classes
+
+        def widened(adj):
+            cls = real(adj)
+            x = next(v for v in range(1, len(adj)) if not cls[0] >> v & 1)
+            merged = cls[0] | cls[x]
+            return [merged if c & merged else c for c in cls]
+
+        monkeypatch.setattr(graph_lab, "_twin_classes", widened)
+        with pytest.raises(AssertionError):
+            _check_orbit_certificate(g, 6, _edge_colorings(g, 6))
+
+    def test_planted_twins_match_the_oracle(self):
+        # clique and independent-set blow-ups of random graphs, odd cycles,
+        # wheels and complete graphs, n <= 12, asked at chi - 1, chi, chi + 1
+        # and again relabelled; each yielded certificate is checked too
+        rng = random.Random(0x32)
+        critical = twinned = 0
+        for _ in range(200):
+            g = _planted_twins(rng, 12)
+            twinned += any(len(c) > 1 for c in _twin_sets(g))
+            chi = _oracle_chromatic(g)
+            for r in (chi - 1, chi, chi + 1):
+                expected = _oracle_critical(g, r)
+                assert is_critical(g, r) == expected, (g.edges, r)
+                assert is_critical(_relabel(g, rng), r) == expected, (g.edges, r)
+                if expected:
+                    _check_orbit_certificate(g, r, _edge_colorings(g, r))
+                critical += expected
+        assert twinned > 180 and critical > 30
 
 
 class TestSimplicial:
@@ -923,10 +990,17 @@ class TestGraph6:
         with pytest.raises(ValueError):
             serialize_graph6(Graph(2**18, []))
 
-    @given(st.integers(0, o_max := 12), st.integers(0, 10**6))
+    @given(st.integers(0, 70), st.integers(0, 10**6))
+    @example(62, 0)
+    @example(63, 0)
+    @example(70, 1)
     def test_round_trip_property(self, n, seed):
-        g = _random_graph(random.Random(seed), n)
-        assert parse_graph6(serialize_graph6(g)) == g
+        # n >= 63 takes the four-byte "~" header; the parser builds the masks
+        # itself, so compare them with those Graph builds from the edges
+        h = _random_graph(random.Random(seed), n)
+        g = parse_graph6(serialize_graph6(h))
+        assert (g.vertex_count, g.masks) == (n, h.masks) and type(g.masks) is tuple
+        assert g._chi is None
 
 
 class TestBudgets:
@@ -1111,8 +1185,8 @@ class TestRecordedChi:
             chromatic_number(g)
             for r in (chi - 1, chi, chi + 1):
                 # copies, so that a later change to a yielded list cannot hide here
-                got = [(e, colors[:]) for e, colors in _edge_colorings(g, r)]
-                assert got == [(e, colors[:]) for e, colors in _edge_colorings(fresh, r)], \
+                got = [(e, colors[:], size) for e, colors, size in _edge_colorings(g, r)]
+                assert got == [(e, colors[:], size) for e, colors, size in _edge_colorings(fresh, r)], \
                     (g.edges, r)
 
     @pytest.mark.parametrize("name, r, kernel", [("Delta8", 8, _max_matching),
@@ -1419,25 +1493,41 @@ def _assert_kernels_match(g, ks, rs):
     for k in ks:
         assert (_coloring_and_nodes(_k_coloring, adj, k, cliques)
                 == _coloring_and_nodes(_ref_k_coloring, adj, k, cliques)), (adj, k)
+    twins = _twin_sets(g)
     for r in rs:
         # copies, so that a later change to a yielded list cannot hide here
-        fast = [(e, colors[:]) for e, colors in _edge_colorings(g, r)]
-        assert fast == [(e, colors[:]) for e, colors in _ref_edge_colorings(g, r)], (adj, r)
+        fast = [(e, colors[:], size) for e, colors, size in _edge_colorings(g, r)]
+        ref = [(e, colors[:]) for e, colors in _ref_edge_colorings(g, r)]
+        if all(len(c) == 1 for c in twins):
+            assert fast == [(e, colors, 1) for e, colors in ref], (adj, r)
+        else:
+            # twin orbits close whole, so the colorings differ; but both stop
+            # at the least edge whose G-e is not (r-1)-colorable, having
+            # covered every edge below it, or cover every edge: the same
+            # answer and the same least uncovered edge
+            covered = set().union(*(_twin_orbit(twins, *e) for e, _, _ in fast))
+            assert sum(size for _, _, size in fast) == len(covered)
+            assert (min(g.edges - covered, default=None)
+                    == min(g.edges - {e for e, _ in ref}, default=None)), (adj, r)
+    return all(len(c) == 1 for c in twins)
 
 
 class TestKernelIdentity:
     """The inline bit walks change no answer and no search: same cliques,
-    colorings and node counts, mates, triangle answers, and the same
-    (edge, coloring) sequence from _edge_colorings."""
+    colorings and node counts, mates, triangle answers, and on twin-free
+    graphs the same (edge, coloring) sequence from _edge_colorings, each
+    edge its own orbit.  On graphs with twins _edge_colorings closes whole
+    twin orbits, so there it must give the same answer and cover the
+    orbits of the edges the reference reaches."""
 
     def test_random_graphs(self):
         rng = random.Random(0x1D)
-        alpha_two = 0
+        alpha_two = twin_free = 0
         for _ in range(1000):
             g = _random_graph(rng, rng.randint(1, 13), rng.random())
             alpha_two += not _has_triangle(_complement_masks(g.masks))
-            _assert_kernels_match(g, range(1, 7), range(1, 7))
-        assert 100 < alpha_two < 900
+            twin_free += _assert_kernels_match(g, range(1, 7), range(1, 7))
+        assert 100 < alpha_two < 900 and 300 < twin_free < 900
 
     def test_relabelled_families(self):
         rng = random.Random(0x1E)
@@ -1446,8 +1536,9 @@ class TestKernelIdentity:
         cases += [(build_family(FamilySpec(FamilyKind.CATLIN, sizes=(k,))), -(-5 * k // 2))
                   for k in (2, 3, 4)]
         cases += [(_mycielski_k(k), k) for k in (4, 5)]
-        for g, r in cases:
-            _assert_kernels_match(_relabel(g, rng), (r - 1, r), (r, r + 1))
+        twin_free = [_assert_kernels_match(_relabel(g, rng), (r - 1, r), (r, r + 1))
+                     for g, r in cases]
+        assert twin_free[-2:] == [True, True]  # M4 and M5
         # where most edges are reached by moves: larger critical graphs on
         # the matching path, with the coloring kernel left out (its search
         # at k = r - 1 is slow here, and the moves do not touch it)
@@ -1645,17 +1736,43 @@ def _lower_twins(g):
             for v in range(g.vertex_count)]
 
 
+def _blow_up(rng, base, sizes, clique):
+    """base with vertex v blown up into sizes[v] vertices, a clique with
+    probability clique and an independent set otherwise: its members are
+    twins."""
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    parts = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    edges = [e for part in parts if rng.random() < clique for e in itertools.combinations(part, 2)]
+    edges += [(x, y) for u, v in base.edges for x in parts[u] for y in parts[v]]
+    return Graph(bounds[-1], edges)
+
+
 def _twin_blowup(rng):
     """A random graph on at most 6 vertices with each vertex blown up into a
     clique or an independent set of 1-3 vertices, so that true and false
     twins abound, then relabelled."""
     base = _random_graph(rng, rng.randint(1, 6), rng.random())
-    bounds = list(itertools.accumulate((rng.randint(1, 3) for _ in range(base.vertex_count)),
-                                       initial=0))
-    parts = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    edges = [e for part in parts if rng.random() < 0.5 for e in itertools.combinations(part, 2)]
-    edges += [(x, y) for u, v in base.edges for x in parts[u] for y in parts[v]]
-    return _relabel(Graph(bounds[-1], edges), rng)
+    sizes = [rng.randint(1, 3) for _ in range(base.vertex_count)]
+    return _relabel(_blow_up(rng, base, sizes, 0.5), rng)
+
+
+def _planted_twins(rng, n_max):
+    """A random graph on at most 6 vertices, a 5- or 7-cycle, a 5-wheel or a
+    complete graph on 2-5 vertices, with each vertex blown up into a clique
+    (mostly) or an independent set of 1-3 vertices while at most n_max
+    vertices are used."""
+    base = rng.choice([
+        lambda: _random_graph(rng, rng.randint(1, 6), rng.random()),
+        lambda: cycle_graph(rng.choice((5, 7))),
+        lambda: join(complete_graph(1), cycle_graph(5)),
+        lambda: complete_graph(rng.randint(2, 5)),
+    ])()
+    sizes, spare = [], n_max - base.vertex_count
+    for _ in range(base.vertex_count):
+        extra = rng.randint(0, min(2, spare))
+        sizes.append(1 + extra)
+        spare -= extra
+    return _blow_up(rng, base, sizes, 0.7)
 
 
 def _tamperings(w, g, rng):

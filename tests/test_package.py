@@ -205,7 +205,7 @@ COUNT_GATES = {
     "FamilySpec Delta size": ("each size", lambda a: a.FamilySpec("Delta", (2.0, 1, 2))),
     "FamilySpec _replace":
         ("each size", lambda a: a.delta_splits(4)[0]._replace(sizes=(2.0, 1, 2))),
-    "complete_graph n": ("each size", lambda a: a.complete_graph(5.0)),
+    "complete_graph n": ("n", lambda a: a.complete_graph(5.0)),
     "is_critical r": ("r", lambda a: a.is_critical(a.Graph(1), 1.0)),
     "find_topological_clique t":
         ("t", lambda a: a.find_topological_clique(a.complete_graph(5), 5.0)),
@@ -224,6 +224,13 @@ COUNT_GATES = {
     "gallai_equality_check r": ("r", lambda a: a.gallai_equality_check(6.0, 3)),
     "gallai_equality_check p": ("p", lambda a: a.gallai_equality_check(6, 3.0)),
     "verify_albertson r": ("r", lambda a: a.verify_albertson(13.0)),
+    # a bool is an int to isinstance, but no count
+    "Graph vertex_count bool": ("vertex_count", lambda a: a.Graph(True)),
+    "zarankiewicz bool": ("r", lambda a: a.zarankiewicz(True)),
+    "find_topological_clique t bool":
+        ("t", lambda a: a.find_topological_clique(a.complete_graph(3), True)),
+    "CriticalParams r bool": ("r", lambda a: a.CriticalParams(True, 5)),
+    "is_critical max_n bool": ("max_n", lambda a: a.is_critical(a.complete_graph(3), 3, max_n=False)),
 }
 
 
