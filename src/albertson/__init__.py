@@ -51,26 +51,21 @@ _EXPORTS = {
         "InapplicableRuleError",
     ),
     "graph_lab": (
-        "ComplementAnalysis",
         "FamilySpec",
         "Graph",
         "SubdivisionWitness",
         "build_family",
         "chromatic_number",
-        "complement_analysis",
         "complete_graph",
         "contains_topological_clique",
         "cycle_graph",
         "delta_splits",
         "efamily_splits",
         "find_topological_clique",
-        "gallai_equality_check",
-        "gallai_simplicial_check",
         "is_critical",
         "join",
         "parse_graph6",
         "serialize_graph6",
-        "simplicial_vertices",
     ),
     "verifier": (
         "REFERENCE_TABLES",
@@ -86,7 +81,6 @@ _EXPORTS = {
         "compare_with_reference",
         "lemma357_check",
         "parse_report",
-        "remark2_check",
         "render_report",
         "small_n_note",
         "table_rule_id",

