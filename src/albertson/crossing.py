@@ -50,6 +50,9 @@ b = B/d over their least common denominator d that is one integer,
 
   (n-2)(n-3)*[A*m*s(s-1) - B*n(n-1)(s-2)] / (d*s(s-1)(s-2)(s-3)).
 
+Its numerator is written once, in `_counting_numerator`, which
+`counting_lower` and the verifier's lemma357 sweep both call.
+
 Every kernel computes such a numerator num over a positive denominator den
 in integers and chooses between rules by comparing integers.  `_clamp_ceil`
 is the kernels' one constructor of the result: its `value` is
@@ -386,6 +389,12 @@ def _counting_coefficients(params: SamplingParams) -> tuple[int, int, int]:
     return a_d * s * (s - 1), b_d * (s - 2), d * s * (s - 1) * (s - 2) * (s - 3)
 
 
+def _counting_numerator(n: int, m: int, a_s: int, b_s: int) -> int:
+    """(n-2)(n-3)*[A*m*s(s-1) - B*n(n-1)(s-2)], the counting bound's
+    numerator over the last of _counting_coefficients, from the first two."""
+    return (n - 2) * (n - 3) * (a_s * m - b_s * n * (n - 1))
+
+
 def counting_lower(n: int, m: int, params: SamplingParams) -> CrossingLowerBound:
     """Average a linear rule over all spanned s-vertex subgraphs.
 
@@ -398,5 +407,5 @@ def counting_lower(n: int, m: int, params: SamplingParams) -> CrossingLowerBound
     if s > n:
         raise ValueError(f"sample size s={s} exceeds n={n}")
     a_s, b_s, den = _counting_coefficients(params)
-    return _clamp_ceil((n - 2) * (n - 3) * (a_s * m - b_s * n * (n - 1)), den,
+    return _clamp_ceil(_counting_numerator(n, m, a_s, b_s), den,
                        _new_tuple(Method, (MethodKind.COUNTING, params.base.id, None, s)))

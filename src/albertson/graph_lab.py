@@ -18,11 +18,11 @@ A Graph stores adjacency bitmasks (bit v of masks[u] is the edge uv), and
 every algorithm below works on them.
 
 Exact searches, each entered once per call through _run_search, which
-states the budget rules: chromatic_number (complement matching or DSATUR,
-_k_coloring), is_critical (the colorings of _edge_colorings, which states
-the criticality rules) and find_topological_clique (branch vertices, then
-_route).  Besides: graph6 text for exchanging externally published graph
-lists.
+states the budget rules: chromatic_number (the coloring oracle that _oracle
+picks per graph: complement matching or DSATUR, _k_coloring), is_critical
+(the colorings of _edge_colorings, which states the criticality rules) and
+find_topological_clique (branch vertices, then _route).  Besides: graph6
+text for exchanging externally published graph lists.
 """
 from __future__ import annotations
 
@@ -96,8 +96,10 @@ class Graph:
     """Immutable simple graph on vertices 0..vertex_count-1, stored as
     adjacency bitmasks; the edges (u < v) derive from them.
 
-    _chi is not a field: chromatic_number records the chi it proved there,
-    and criticality reads it.  ==, hash, repr, pickle and copy ignore it."""
+    _chi is not a field: chromatic_number records there the pair (chi,
+    oracle) of the chi it proved and the coloring oracle it chose
+    (_oracle), and criticality reads both.  ==, hash, repr, pickle and copy
+    ignore it."""
 
     __slots__ = ("vertex_count", "masks", "_chi")
     _fields = ("vertex_count", "masks")
@@ -197,14 +199,16 @@ class _FamilyFields(NamedTuple):
 class FamilySpec(_FamilyFields):
     """Construction recipe: part sizes for Delta (|A|, |B1|, |B2|) and
     EFamily (|A1|, |A2|, |B1|, |B2|), (k,) for Catlin and (n,) for
-    Complete.  A kind's value ("Delta") stands for its member.  A size that
-    is not an int raises TypeError at construction, and any other kind, or
-    sizes that no member of the kind has, ValueError, so every FamilySpec
-    describes a graph."""
+    Complete.  A kind's value ("Delta") stands for its member, and sizes
+    given as any sequence are stored as a tuple, so every record hashes.  A
+    size that is not an int raises TypeError at construction, and any other
+    kind, or sizes that no member of the kind has, ValueError, so every
+    FamilySpec describes a graph."""
 
     __slots__ = ()
 
-    def __new__(cls, kind: FamilyKind | str, sizes: tuple[int, ...]) -> FamilySpec:
+    def __new__(cls, kind: FamilyKind | str, sizes: Sequence[int]) -> FamilySpec:
+        sizes = tuple(sizes)
         for size in sizes:
             _count("each size", size)
         kind = FamilyKind(kind)
@@ -459,28 +463,53 @@ def _classes(mate: list[int]) -> list[int]:
 
 
 def chromatic_number(g: Graph, max_n: int | None = None) -> int:
-    """Exact chromatic number.  With alpha(g) <= 2 it is n - nu(complement);
-    otherwise k counts up from the largest clique found until the graph is
-    k-colorable.  The answer is recorded on g for is_critical to read.
-
-    When the complement is triangle-free, i.e. alpha(g) <= 2, every color
-    class is one vertex or one non-edge, so a coloring with c colors pairs
-    up n - c vertices along a matching of the complement, and a maximum
-    matching of size nu gives chi = n - nu exactly, with no search."""
-    k = _run_search("coloring", g, max_n, _chromatic, g.masks)
-    object.__setattr__(g, "_chi", k)
-    return k
+    """Exact chromatic number, read off a coloring by the oracle of g
+    (_oracle).  With alpha(g) <= 2 that is the one coloring the complement
+    matching gives; otherwise k counts up from the largest clique found
+    until DSATUR k-colors the graph.  chi is recorded on g together with
+    the oracle, so is_critical neither refutes chi - 1 nor picks the oracle
+    again."""
+    found = _run_search("coloring", g, max_n, _chromatic, g.masks)
+    object.__setattr__(g, "_chi", found)
+    return found[0]
 
 
-def _chromatic(adj: Sequence[int]) -> int:
-    comp = _complement_masks(adj)
-    if not _has_triangle(comp):
-        return max(_classes(_max_matching(comp)), default=-1) + 1
-    cliques = _cliques(adj)
-    k = cliques[0].bit_count()
-    while _k_coloring(adj, k, cliques) is None:
-        k += 1
-    return k
+def _chromatic(adj: Sequence[int]) -> tuple[int, Callable]:
+    oracle = _oracle(adj)
+    if oracle is _matching_coloring:
+        colors = oracle(adj, len(adj))  # at most n colors, so never None
+    else:
+        cliques = _cliques(adj)
+        k = cliques[0].bit_count()
+        while (colors := _k_coloring(adj, k, cliques)) is None:
+            k += 1
+    return max(colors, default=-1) + 1, oracle
+
+
+def _oracle(adj: Sequence[int]) -> Callable[[Sequence[int], int], list[int] | None]:
+    """The coloring oracle of the graph g with adjacency bitmasks adj: a
+    function (masks, k) -> a k-coloring of the graph with adjacency bitmasks
+    masks, or None if it has none, exact on g and on every contraction G/uv.
+
+    When the complement of g is triangle-free, i.e. alpha(g) <= 2, every
+    color class is one vertex or one non-edge, so a coloring with c colors
+    pairs up n - c vertices along a matching of the complement, and a
+    maximum matching of size nu colors g with chi = n - nu colors exactly,
+    with no search: the oracle is _matching_coloring.  An independent set
+    of G/uv that holds the merged vertex is one of g that holds u, so
+    alpha(G/uv) <= alpha(g), and the matching is exact on every contraction
+    too.  Otherwise the oracle is the DSATUR search _k_coloring."""
+    if _has_triangle(_complement_masks(adj)):
+        return lambda masks, k: _k_coloring(masks, k, _cliques(masks))
+    return _matching_coloring
+
+
+def _matching_coloring(masks: Sequence[int], k: int) -> list[int] | None:
+    """The coloring whose classes are the pairs of a maximum matching of the
+    complement and the single vertices left, if it has at most k colors;
+    otherwise None.  Exact only when alpha <= 2 (_oracle)."""
+    colors = _classes(_max_matching(_complement_masks(masks)))
+    return colors if max(colors, default=-1) < k else None
 
 
 def _twin_classes(adj: Sequence[int]) -> list[int]:
@@ -523,10 +552,12 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
     graph has only singleton orbits, and the colorings are then one per
     edge.
 
-    A chi that chromatic_number proved and recorded on g is read here and
-    nowhere else: chi = r stands in for the refutation of g, so a caller
-    that asks for chi first never refutes the same (r-1)-coloring twice,
-    and any other chi yields nothing at once, with no oracle call.
+    The pair (chi, oracle) that chromatic_number recorded on g is read
+    here and nowhere else: chi = r stands in for the refutation of g, so a
+    caller that asks for chi first never refutes the same (r-1)-coloring
+    twice nor picks the oracle again, and any other chi yields nothing at
+    once, with no oracle call.  On a graph with nothing recorded the oracle
+    comes from _oracle.
 
     Once g is known not to be (r-1)-colorable, an (r-1)-coloring of G-e
     makes e = uv its one monochromatic edge of g, and the colorings come
@@ -535,10 +566,8 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
       - the contraction G/uv (Zykov 1949): a coloring of G-uv that gives u
         and v one color colors G/uv, and a coloring of G/uv gives u and v
         the color of the merged vertex.  So G-uv is (r-1)-colorable iff
-        G/uv is, and G/uv is colored as g is refuted: by the complement
-        matching when alpha(g) <= 2 (an independent set of G/uv holding the
-        merged vertex is one of g holding u, so alpha(G/uv) <= alpha(g)),
-        otherwise by the DSATUR search;
+        G/uv is, and G/uv is colored by the oracle that refutes g, which is
+        exact on every contraction (_oracle);
       - a recoloring move: if an end z of e has exactly one neighbor x of
         some color b, recoloring z to b leaves zx the one monochromatic edge
         of g, so the result colors G-zx.  (z has a neighbor of every color,
@@ -547,19 +576,11 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
         own.  A move is tried only toward an open orbit, one that no
         coloring has reached yet: each vertex keeps a mask of its edges in
         open orbits, so the work per coloring shrinks as orbits close."""
-    adj, k, chi = g.masks, r - 1, g._chi
-    if chi is not None and chi != r:
-        return
-    # the matching colors exactly only when alpha <= 2, and alpha(G/uv) <=
-    # alpha(g), so the choice made on g holds for every contraction
-    if _has_triangle(_complement_masks(adj)):
-        def oracle(masks: Sequence[int]) -> list[int] | None:
-            return _k_coloring(masks, k, _cliques(masks))
-    else:
-        def oracle(masks: Sequence[int]) -> list[int] | None:
-            colors = _classes(_max_matching(_complement_masks(masks)))
-            return colors if max(colors, default=-1) < k else None
-    if chi is None and oracle(adj) is not None:
+    adj, k = g.masks, r - 1
+    chi, oracle = g._chi or (None, _oracle(adj))
+    # a recorded chi other than r answers at once; with none recorded, g
+    # must not be (r-1)-colorable
+    if chi != r and (chi is not None or oracle(adj, k) is not None):
         return
 
     def color(u: int, v: int) -> list[int] | None:
@@ -568,7 +589,7 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
         merged = [mask & ~uv | (mask & uv != 0) << u for mask in adj]
         merged[u] = (adj[u] | adj[v]) & ~uv
         colors = oracle([mask & low | mask >> 1 & ~low
-                         for x, mask in enumerate(merged) if x != v])
+                         for x, mask in enumerate(merged) if x != v], k)
         if colors is not None:
             colors.insert(v, colors[u])  # v takes the color of u
         return colors
@@ -640,7 +661,8 @@ def is_critical(g: Graph, r: int, max_n: int | None = None) -> bool:
 
     chi is never computed: g must not be (r-1)-colorable, so chi >= r, and
     every G-e must be (with no edge, chi = min(n, 1)).  _edge_colorings
-    decides both, and reads a chi that chromatic_number recorded on g.
+    decides both, and reads the chi and oracle that chromatic_number
+    recorded on g.
     """
     _count("r", r)
     if r >= 2 and 0 in g.masks:

@@ -47,6 +47,7 @@ from .crossing import (
     _as_exact,
     _clamp_ceil,
     _counting_coefficients,
+    _counting_numerator,
     _cr_ratio,
     bipartite_zarankiewicz,
     cr_nmp,
@@ -390,7 +391,7 @@ def lemma357_check(r: int) -> SweepResult:
 
     def gap(n: int) -> int:
         m = -(-((r - 1) * n) // 2)
-        return 64 * (n - 2) * (n - 3) * (a_s * m - b_s * n * (n - 1)) - target
+        return 64 * _counting_numerator(n, m, a_s, b_s) - target
 
     margin, argmin_n = min(_quartic_min(gap, n_lo, n_hi), _quartic_min(gap, n_lo + 1, n_hi))
     return SweepResult(ok=margin > 0, r=r, n_lo=n_lo, n_hi=n_hi,

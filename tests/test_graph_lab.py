@@ -1212,7 +1212,7 @@ class TestRecordedChi:
         for g, chi, answers in self._cases():
             g = Graph(g.vertex_count, g.edges)  # the cached cases stay unrecorded
             fresh = Graph(g.vertex_count, g.edges)
-            assert chromatic_number(g) == chi and g._chi == chi, g.edges
+            assert chromatic_number(g) == chi and g._chi[0] == chi, g.edges
             for r, expected in answers.items():
                 assert is_critical(g, r) == is_critical(fresh, r) == expected, (g.edges, r)
                 critical += expected
@@ -1270,10 +1270,30 @@ class TestRecordedChi:
             assert not is_critical(g, other)
         assert calls == 0
 
+    @pytest.mark.parametrize("name, r", [("Delta8", 8), ("M4", 4)], ids=["Delta8", "M4"])
+    def test_alpha_is_decided_once(self, monkeypatch, name, r):
+        # Delta8 takes the matching oracle, M4 DSATUR; chromatic_number
+        # records the oracle with chi, so criticality tests no triangle
+        g = build_family(delta_splits(8)[2]) if name == "Delta8" else _mycielski_k(4)
+        fresh = Graph(g.vertex_count, g.edges)
+        calls = 0
+
+        def counted(adj):
+            nonlocal calls
+            calls += 1
+            return _has_triangle(adj)
+
+        monkeypatch.setattr("albertson.graph_lab._has_triangle", counted)
+        assert chromatic_number(g) == r and is_critical(g, r)
+        assert calls == 1
+        calls = 0
+        assert is_critical(fresh, r)
+        assert calls == 1
+
     def test_record_is_invisible(self):
         g = complete_graph(4).without_edge(1, 3)
         plain = Graph(g.vertex_count, g.edges)
-        assert chromatic_number(g) == 3 and g._chi == 3 and plain._chi is None
+        assert chromatic_number(g) == 3 and g._chi[0] == 3 and plain._chi is None
         assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
         assert g._fields == ("vertex_count", "masks")
         assert pickle.dumps(g) == pickle.dumps(plain)
@@ -1284,7 +1304,7 @@ class TestRecordedChi:
             g._chi = 1
         with pytest.raises(AttributeError):
             del g._chi
-        assert g._chi == 3 and not hasattr(g, "__dict__")
+        assert g._chi[0] == 3 and not hasattr(g, "__dict__")
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_budget_still_applies(self, r):

@@ -194,6 +194,15 @@ def test_replace_coerces_a_family_kind():
     assert spec.kind is albertson.FamilyKind.CATLIN and spec.r == 5
 
 
+def test_family_sizes_are_stored_as_a_tuple():
+    # a list of sizes builds the same record as the tuple, so it hashes
+    want = albertson.FamilySpec(albertson.FamilyKind.DELTA, (3, 1, 3))
+    spec = albertson.FamilySpec("Delta", [3, 1, 3])
+    assert spec == want and hash(spec) == hash(want) and type(spec.sizes) is tuple
+    replaced = albertson.delta_splits(5)[1]._replace(sizes=[3, 1, 3])
+    assert replaced == want and hash(replaced) == hash(want) and type(replaced.sizes) is tuple
+
+
 # every count gate refuses a float with one message, which names the
 # argument: each call below once went through in floats, or failed only
 # further in, on a derived value.  id -> (argument named, call)
