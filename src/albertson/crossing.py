@@ -300,10 +300,10 @@ def crossing_lemma_lower(n: int, m: int) -> CrossingLowerBound:
 
 
 def _as_exact(p) -> Fraction:
-    """The one gate on p: exact (a float raises TypeError) and in (0, 1]
-    (ValueError), returned as a Fraction."""
-    if isinstance(p, float):
-        raise TypeError("p must be exact (Fraction, int or string), not float")
+    """The one gate on p: exact (a float or a bool raises TypeError) and in
+    (0, 1] (ValueError), returned as a Fraction."""
+    if isinstance(p, (float, bool)):
+        raise TypeError(f"p must be exact (Fraction, int or string), not {type(p).__name__}")
     if type(p) is not Fraction:
         p = _F(p)
     if not 0 < p.numerator <= p.denominator:  # 0 < p <= 1, as the denominator is > 0

@@ -108,6 +108,8 @@ class Graph:
         _count("vertex_count", vertex_count, 0)
         masks = [0] * vertex_count
         for u, v in edges:
+            _count("vertex", u)
+            _count("vertex", v)
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):

@@ -328,42 +328,6 @@ class SweepResult(typing.NamedTuple):
 _COUNTING52 = _counting_coefficients(SamplingParams(s=52))
 
 
-def _quartic_min(f, lo: int, hi: int) -> tuple[int, int]:
-    """(min f(n), smallest n attaining it) over n = lo, lo+2, ..., <= hi,
-    for lo <= hi and f an integer polynomial of degree at most 4 on that
-    progression.
-
-    The fourth forward difference d4 with step 2 is constant, so the walk
-    moves from n to n+2 by additions.  Once d2, d3 and d4 are all <= 0 they
-    stay so: d3 never rises, so d2 never rises, so every later second
-    difference is <= 0 and f is concave from n on.  A concave sequence takes
-    its minimum at an end, and an interior point can only tie the smaller
-    end when both ends are equal, so the walk stops and compares f at the
-    last n with the minimum so far.  A walk that never stops visits every
-    n, so the result is exact in every case.
-    """
-    f0, f1, f2, f3, f4 = f(lo), f(lo + 2), f(lo + 4), f(lo + 6), f(lo + 8)
-    d1, d2, d3 = f1 - f0, f2 - 2 * f1 + f0, f3 - 3 * f2 + 3 * f1 - f0
-    d4 = f4 - 4 * f3 + 6 * f2 - 4 * f1 + f0
-    last = hi - (hi - lo) % 2
-    best, best_n = f0, lo
-    g, n = f0, lo
-    while n < last:
-        if d2 <= 0 and d3 <= 0 and d4 <= 0:
-            g_last = f(last)
-            if g_last < best:
-                best, best_n = g_last, last
-            break
-        g += d1
-        d1 += d2
-        d2 += d3
-        d3 += d4
-        n += 2
-        if g < best:  # strict, so the smallest n wins ties
-            best, best_n = g, n
-    return best, best_n
-
-
 def lemma357_check(r: int) -> SweepResult:
     """Counting bound beats (1/64)r(r-1)(r-2)(r-3) for 3.57r <= n <= 4r.
 
@@ -373,13 +337,16 @@ def lemma357_check(r: int) -> SweepResult:
     by s and the rule, so every margin is the integer
     gap(n) = 64*num - den*r(r-1)(r-2)(r-3) over the one denominator 64*den.
 
-    On one parity of n, m is linear in n, so gap is an integer quartic
-    there, and `_quartic_min` finds its minimum by forward differences,
-    stopping as soon as the rest of the class is concave.  On every r
-    checked (17..3016, 10^5, 10^6, 10^7) that holds at the first order of
-    each class, so the number of evaluations no longer grows with r: five
-    per class and one at its last order.  The smallest n wins ties, across
-    the classes too.
+    On one parity class of n, 2m = (r-1)n + e with e in {0, 1} fixed, so
+    gap = 64*N(n) - const with N(n) = (n-2)(n-3)(c1*n - 5150n^2 + 31824e)
+    and c1 = 31824(r-1) + 5150, where 31824 = a_s/2 and 5150 = b_s.  Then
+    N''(n) = n(6c1 + 154500 - 61800n) - 10c1 - 61800 + 63648e.  For
+    n >= 3.57r the bracket is at most -29682r - 5544, and the rest is at most
+    -318240r + 268588, so N'' < 0: each class is strictly concave, and its
+    minimum lies at one of its two end orders, strictly below every order
+    inside.  So the four orders n_lo, n_lo+1, n_hi-1 and n_hi decide the
+    sweep; concavity does not say which end, so all four are read.  The
+    smallest n wins ties, across the classes too.
     """
     _count("r", r)
     if r < 17:
@@ -393,7 +360,7 @@ def lemma357_check(r: int) -> SweepResult:
         m = -(-((r - 1) * n) // 2)
         return 64 * _counting_numerator(n, m, a_s, b_s) - target
 
-    margin, argmin_n = min(_quartic_min(gap, n_lo, n_hi), _quartic_min(gap, n_lo + 1, n_hi))
+    margin, argmin_n = min((gap(n), n) for n in (n_lo, n_lo + 1, n_hi - 1, n_hi))
     return SweepResult(ok=margin > 0, r=r, n_lo=n_lo, n_hi=n_hi,
                        min_margin=_F(margin, 64 * den), argmin_n=argmin_n)
 

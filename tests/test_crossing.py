@@ -27,6 +27,7 @@ from albertson import (
     crossing_lemma_lower,
     linear_lower,
     optimize_p,
+    tail_certificate,
     zarankiewicz,
 )
 
@@ -236,6 +237,13 @@ class TestCrNmp:
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             cr_nmp(18, 128, 0.719)
+
+    def test_rejects_bool(self):
+        # True is an int to isinstance, and would be read as p = 1
+        with pytest.raises(TypeError, match=r"^p must be exact .*, not bool$"):
+            cr_nmp(20, 100, True)
+        with pytest.raises(TypeError, match=r"^p must be exact .*, not bool$"):
+            tail_certificate(13, True, 22)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):

@@ -794,13 +794,16 @@ class TestTopologicalClique:
         # with valid edges needs the four open paths of this E5 witness
         pytest.param(efamily_splits(5)[1], (3, 8), (3, 0, 8), id="shared internal"),
         pytest.param(delta_splits(5)[0], (0, 1), (0, 2, 1), id="internal branch"),
+        # 7 and 8 are not adjacent, so the bare path is no edge of the graph
+        pytest.param(delta_splits(5)[0], (7, 8), (7, 8), id="bare path"),
     ])
     def test_witness_verify_rejects_tampered_paths(self, spec, pair, path):
         g = build_family(spec)
         w = find_topological_clique(g, spec.r)
         assert w.verify(g) and pair in dict(w.paths)
         paths = tuple((p, path if p == pair else old) for p, old in w.paths)
-        assert not w._replace(paths=paths).verify(g)
+        bad = w._replace(paths=paths)
+        assert not bad.verify(g) and not _ref_verify(bad, g)
 
     @pytest.mark.parametrize("v", [-1, 4], ids=["vertex -1", "vertex n"])
     def test_witness_verify_rejects_branch_vertex_out_of_range(self, v):
@@ -1843,8 +1846,9 @@ def _tamperings(w, g, rng):
     path, a path dropped, a path duplicated, a pair filed as (v, u) with its
     path reversed, a pair with one end swapped for a non-branch vertex, a
     pair of three vertices, a path filed under another pair's key, another
-    pair's entry in place of a pair's own, and a branch vertex swapped for a
-    random vertex."""
+    pair's entry in place of a pair's own, the first routed pair whose ends
+    are not adjacent filed with the bare path (u, v), and a branch vertex
+    swapped for a random vertex."""
     n, paths = g.vertex_count, list(w.paths)
 
     def with_path(i, path, pair=None):
@@ -1887,6 +1891,11 @@ def _tamperings(w, g, rng):
             direct = [j for j, (_, other) in enumerate(paths) if j != i and len(other) == 2]
             j = rng.choice(direct) if direct else j
             yield with_path(i, paths[j][1], paths[j][0])
+        # no rng draw, so every later tampering stays as it was
+        routed = [i for i, ((u, v), path) in enumerate(paths)
+                  if len(path) > 2 and not g.has_edge(u, v)]
+        if routed:
+            yield with_path(routed[0], paths[routed[0]][0])
     if w.branch_vertices:
         branch = list(w.branch_vertices)
         branch[rng.randrange(len(branch))] = rng.randrange(n)

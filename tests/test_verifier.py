@@ -3,7 +3,6 @@ Catlin comparison, report rendering."""
 
 import json
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -31,8 +30,8 @@ from albertson import (
     verify_albertson,
     zarankiewicz,
 )
-from albertson.crossing import SamplingParams, _counting_coefficients
-from albertson.verifier import _fmt3, _quartic_min
+from albertson.crossing import SamplingParams, _counting_coefficients, _counting_numerator
+from albertson.verifier import _fmt3
 
 # frozen expected case rows: r -> [(n, e, linear, p, prob)]
 EXPECTED_ROWS = {
@@ -460,6 +459,42 @@ class TestLemma357:
     def test_matches_plain_sweep_at_large_r(self, r):
         assert lemma357_check(r) == _lemma357_reference(r)
 
+    @pytest.mark.parametrize("r", [17, 10**7])
+    def test_reads_four_orders(self, r, monkeypatch):
+        """The margin is evaluated at n_lo, n_lo+1, n_hi-1 and n_hi only."""
+        orders = []
+
+        def counted(n, *args):
+            orders.append(n)
+            return _counting_numerator(n, *args)
+
+        monkeypatch.setattr("albertson.verifier._counting_numerator", counted)
+        s = lemma357_check(r)
+        assert orders == [s.n_lo, s.n_lo + 1, s.n_hi - 1, s.n_hi]
+
+    def test_each_parity_class_is_concave(self):
+        """The premise of reading four orders: exact step-2 second
+        differences of the integer margin are negative on both parity
+        classes."""
+        a_s, b_s, den = _counting_coefficients(SamplingParams(s=52))
+
+        def second_differences(r, orders):
+            target = den * r * (r - 1) * (r - 2) * (r - 3)
+
+            def gap(n):
+                m = -(-((r - 1) * n) // 2)
+                return 64 * (n - 2) * (n - 3) * (a_s * m - b_s * n * (n - 1)) - target
+
+            return [gap(n - 2) - 2 * gap(n) + gap(n + 2) for n in orders]
+
+        for r in range(17, 301):
+            n_lo, n_hi = -(-357 * r // 100), 4 * r
+            assert max(second_differences(r, range(n_lo + 2, n_hi - 1))) < 0, r
+        r = 10**7
+        n_lo, n_hi = -(-357 * r // 100), 4 * r
+        orders = [*range(n_lo + 2, n_lo + 5), *range(n_hi - 4, n_hi - 1)]
+        assert max(second_differences(r, orders)) < 0
+
 
 def _lemma357_reference(r):
     """lemma357_check(r) as a plain loop over every order, keeping the first
@@ -475,82 +510,6 @@ def _lemma357_reference(r):
             margin, argmin_n = gap, n
     return SweepResult(ok=margin > 0, r=r, n_lo=n_lo, n_hi=n_hi,
                        min_margin=Fraction(margin, 64 * den), argmin_n=argmin_n)
-
-
-def _brute_min(f, orders):
-    """(min f(n), smallest n attaining it) over the orders, in order."""
-    best = None
-    for n in orders:
-        if best is None or f(n) < best[0]:
-            best = (f(n), n)
-    return best
-
-
-def _poly(coefficients, c):
-    """n -> sum of coefficients[i] * (n - c)^i."""
-    return lambda n: sum(a * (n - c) ** i for i, a in enumerate(coefficients))
-
-
-class TestQuarticMin:
-    """The parity-class walk of lemma357_check against brute force on
-    random integer quartics."""
-
-    @staticmethod
-    def _random_quartic(rng, lo, last):
-        leading = rng.choice((-1, 1)) * rng.randrange(0, 30)
-        lower = [rng.randrange(-10**6, 10**6), rng.randrange(-10**4, 10**4),
-                 rng.randrange(-2000, 2000), rng.randrange(-300, 300)]
-        if rng.random() < 0.3:
-            # even in n - c about the class's midpoint: f(lo) = f(last), and
-            # orders at equal distances tie
-            lower[1] = lower[3] = 0
-            return _poly([*lower, leading], (lo + last) // 2)
-        return _poly([*lower, leading], rng.randrange(lo - 10, last + 11))
-
-    def test_matches_brute_force(self):
-        rng = random.Random(357)
-        where = set()
-        for _ in range(6000):
-            lo = rng.randrange(-40, 40)
-            hi = lo + rng.randrange(0, 70)
-            last = hi - (hi - lo) % 2
-            f = self._random_quartic(rng, lo, last)
-            want = _brute_min(f, range(lo, hi + 1, 2))
-            assert _quartic_min(f, lo, hi) == want, (lo, hi, [f(n) for n in range(lo, hi + 1, 2)])
-            if lo < last:
-                where.add("first" if want[1] == lo else "last" if want[1] == last else "inside")
-        assert where == {"first", "last", "inside"}
-
-    def test_ties_keep_the_smallest_order(self):
-        # (n - 10)^2 on n = 3, 5, ..., 17 ties at 9 and 11; -(n - 10)^2 ties
-        # at 3 and 17 and stops at once; a constant ties everywhere
-        assert _quartic_min(lambda n: (n - 10) ** 2, 3, 17) == (1, 9)
-        assert _quartic_min(lambda n: -(n - 10) ** 2, 3, 17) == (-49, 3)
-        assert _quartic_min(lambda n: 7, 3, 18) == (7, 3)
-        assert _quartic_min(lambda n: 7, 3, 3) == (7, 3)
-
-    def test_concave_start_with_a_later_convex_stretch(self):
-        # second differences start <= 0 but the third ones are positive, so
-        # the class turns convex and its minimum lies inside
-        f = _poly([0, -300, 0, 1], 0)  # n^3 - 300n, local minimum at n = 10
-        assert _quartic_min(f, -4, 30) == _brute_min(f, range(-4, 31, 2)) == (-2000, 10)
-
-    def test_both_classes_with_a_tie_across_them(self):
-        rng = random.Random(3570)
-        for _ in range(2000):
-            lo = rng.randrange(-40, 40)
-            hi = lo + rng.randrange(1, 70)
-            first, second = (self._random_quartic(rng, lo, hi) for _ in range(2))
-            # shift the second class so that both classes share one minimum
-            shift = (_brute_min(first, range(lo, hi + 1, 2))[0]
-                     - _brute_min(second, range(lo + 1, hi + 1, 2))[0])
-
-            def f(n):
-                return first(n) if (n - lo) % 2 == 0 else second(n) + shift
-
-            got = min(_quartic_min(f, lo, hi), _quartic_min(f, lo + 1, hi))
-            want = _brute_min(f, range(lo, hi + 1))
-            assert got == want, (lo, hi)
 
 
 def _remark2_sweep(r):
