@@ -15,7 +15,8 @@ Families (one table row each, built by build_family):
   Complete(n)  the complete graph.
 
 A Graph stores adjacency bitmasks (bit v of masks[u] is the edge uv), and
-every algorithm below works on them.
+every algorithm below works on them.  Graph(n, edges) alone reads and gates
+edge pairs; every builder (build_family, join, complement) writes masks.
 
 Exact searches, each entered once per call through _run_search, which
 states the budget rules: chromatic_number (the coloring oracle that _oracle
@@ -94,7 +95,9 @@ def _run_search(kind: str, g: Graph, max_n: int | None, search, *args):
 
 class Graph:
     """Immutable simple graph on vertices 0..vertex_count-1, stored as
-    adjacency bitmasks; the edges (u < v) derive from them.
+    adjacency bitmasks; the edges (u < v) derive from them.  Graph(n, edges)
+    alone reads and gates edge pairs; every other builder writes masks and
+    returns Graph._of(masks), the one writer of the slots.
 
     _chi is not a field: chromatic_number records there the pair (chi,
     oracle) of the chi it proved and the coloring oracle it chose
@@ -104,7 +107,7 @@ class Graph:
     __slots__ = ("vertex_count", "masks", "_chi")
     _fields = ("vertex_count", "masks")
 
-    def __init__(self, vertex_count: int, edges=()):
+    def __new__(cls, vertex_count: int, edges=()) -> Graph:
         _count("vertex_count", vertex_count, 0)
         masks = [0] * vertex_count
         for u, v in edges:
@@ -116,18 +119,18 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={vertex_count}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self.__setstate__((vertex_count, tuple(masks)))
+        return Graph._of(masks)
 
-    def __getstate__(self) -> tuple[int, tuple[int, ...]]:
-        return self.vertex_count, self.masks
+    @staticmethod
+    def _of(masks: Sequence[int]) -> Graph:
+        g = object.__new__(Graph)
+        object.__setattr__(g, "vertex_count", len(masks))
+        object.__setattr__(g, "masks", tuple(masks))
+        object.__setattr__(g, "_chi", None)
+        return g
 
-    def __setstate__(self, state: tuple[int, tuple[int, ...]]) -> None:
-        # __setattr__ refuses, so the slots are written directly; chi stays
-        # unknown until chromatic_number proves it
-        vertex_count, masks = state
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "_chi", None)
+    def __reduce__(self):
+        return Graph._of, (self.masks,)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -152,21 +155,28 @@ class Graph:
         return sum(mask.bit_count() for mask in self.masks) // 2
 
     def degree(self, v: int) -> int:
-        return self.masks[v].bit_count()
+        return self.masks[self._vertex(v)].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         # public callers may pass any int: u < 0 would read another mask, v < 0 raise
         return 0 <= u < self.vertex_count and v >= 0 and self.masks[u] >> v & 1 == 1
 
-    def without_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
+    def without_edge(self, u: int, v: int) -> Graph:
+        if not self.has_edge(self._vertex(u), self._vertex(v)):
             raise ValueError(f"no edge ({u}, {v})")
-        return Graph(self.vertex_count, self.edges - {(u, v) if u < v else (v, u)})
+        masks = list(self.masks)
+        masks[u], masks[v] = masks[u] ^ 1 << v, masks[v] ^ 1 << u
+        return Graph._of(masks)
 
-    def complement(self) -> "Graph":
-        comp = _complement_masks(self.masks)
-        return Graph(self.vertex_count, ((u, v) for u, mask in enumerate(comp)
-                                         for v in _bits(mask) if u < v))
+    def _vertex(self, v: int) -> int:
+        # an int (a bool is none) in 0..n-1: a negative index would read another mask
+        _count("vertex", v)
+        if not 0 <= v < self.vertex_count:
+            raise ValueError(f"vertex {v} out of range for n={self.vertex_count}")
+        return v
+
+    def complement(self) -> Graph:
+        return Graph._of(_complement_masks(self.masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
@@ -176,17 +186,14 @@ def cycle_graph(n: int) -> Graph:
     _count("n", n)
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
+    return Graph._of([1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)])
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus all edges between the two sides."""
     off = g.vertex_count
-    edges = list(g.edges)
-    edges.extend((u + off, v + off) for u, v in h.edges)
-    edges.extend((u, v + off) for u in range(g.vertex_count)
-                 for v in range(h.vertex_count))
-    return Graph(off + h.vertex_count, edges)
+    low, high = (1 << off) - 1, ((1 << h.vertex_count) - 1) << off
+    return Graph._of([m | high for m in g.masks] + [m << off | low for m in h.masks])
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +281,12 @@ def build_family(spec: FamilySpec) -> Graph:
     its kind, joined completely along the kind's links."""
     family = _FAMILIES[spec.kind]
     bounds = list(itertools.accumulate(family.parts(spec.sizes), initial=0))
-    parts = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    edges = [e for part in parts for e in itertools.combinations(part, 2)]
-    edges.extend((u, v) for i, j in family.links for u in parts[i] for v in parts[j])
-    return Graph(bounds[-1], edges)
+    parts = [(1 << hi) - (1 << lo) for lo, hi in zip(bounds, bounds[1:])]
+    near = parts.copy()  # each part ORed with the parts linked to it
+    for i, j in family.links:
+        near[i] |= parts[j]
+        near[j] |= parts[i]
+    return Graph._of([near[i] ^ 1 << v for i, part in enumerate(parts) for v in _bits(part)])
 
 
 def complete_graph(n: int) -> Graph:
@@ -314,7 +323,7 @@ def efamily_splits(r: int) -> tuple[FamilySpec, ...]:
 
 def _bits(mask: int):
     """Indexes of the set bits of mask, lowest first, for the cold paths
-    only: Graph.edges and complement and the root precoloring in
+    only: Graph.edges, build_family and the root precoloring in
     _k_coloring.  The coloring, matching and subdivision searches walk set
     bits inline instead (low = rest & -rest, lowest first), since a
     generator resume costs more than the bit test itself."""
@@ -1093,9 +1102,7 @@ def parse_graph6(text: str) -> Graph:
             low = col & -col
             masks[low.bit_length() - 1] |= 1 << v
             col ^= low
-    g = Graph.__new__(Graph)
-    g.__setstate__((n, tuple(masks)))  # as unpickling builds it, with no edge list
-    return g
+    return Graph._of(masks)
 
 
 def serialize_graph6(g: Graph) -> str:

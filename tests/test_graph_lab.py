@@ -320,6 +320,63 @@ class TestGraphType:
             assert got == g and hash(got) == hash(g)
             assert (got.vertex_count, got.masks, got.edges) == (g.vertex_count, g.masks, g.edges)
 
+    def test_vertex_arguments_are_gated(self):
+        # unchecked, degree(-1) would read vertex 4's mask and without_edge(0, True) remove (0, 1)
+        g = cycle_graph(5)
+        for v in (-1, -5, 5, 64):
+            with pytest.raises(ValueError, match=f"vertex {v} out of range for n=5"):
+                g.degree(v)
+            with pytest.raises(ValueError, match=f"vertex {v} out of range for n=5"):
+                g.without_edge(0, v)
+            with pytest.raises(ValueError, match=f"vertex {v} out of range for n=5"):
+                g.without_edge(v, 4)
+        for call in (lambda: g.degree(True), lambda: g.without_edge(0, True),
+                     lambda: g.without_edge(True, 2), lambda: g.degree(1.0)):
+            with pytest.raises(TypeError, match="vertex must be an int"):
+                call()
+        with pytest.raises(ValueError, match=r"no edge \(0, 2\)"):
+            g.without_edge(0, 2)
+        assert [g.degree(v) for v in range(5)] == [2] * 5
+        assert g.without_edge(4, 0) == Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        # has_edge keeps its contract: any int outside the range is no edge
+        assert not any(g.has_edge(u, v) for u, v in ((-1, 0), (0, -1), (5, 4), (4, 5)))
+
+    @given(st.integers(0, 9), st.integers(0, 9), st.integers(0, 10**6))
+    @example(0, 0, 0)
+    def test_mask_builders_match_the_public_constructor(self, n, k, seed):
+        # every builder but Graph(n, edges) writes masks; each must build the
+        # graph that the public constructor builds from the edge pairs
+        rng = random.Random(seed)
+        g, h = _random_graph(rng, n), _random_graph(rng, k)
+        pairs = set(g.edges)
+        cases = [
+            (join(g, h), Graph(n + k, [*pairs, *((u + n, v + n) for u, v in h.edges),
+                                       *((u, v + n) for u in range(n) for v in range(k))])),
+            (g.complement(), Graph(n, set(itertools.combinations(range(n), 2)) - pairs)),
+        ]
+        cases += [(g.without_edge(*e), Graph(n, pairs - {e})) for e in sorted(pairs)]
+        cases += [(g.without_edge(v, u), Graph(n, pairs - {(u, v)})) for u, v in sorted(pairs)]
+        cases += [(cycle_graph(m), Graph(m, [(i, (i + 1) % m) for i in range(m)]))
+                  for m in range(3, 41)]
+        for got, expected in cases:
+            assert got == expected and hash(got) == hash(expected)
+            assert type(got.masks) is tuple and got._chi is None
+            for copier in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+                clone = copier(got)
+                assert clone == got and hash(clone) == hash(got) and clone._chi is None
+
+    def test_mask_builders_pass_no_count_gate(self, monkeypatch):
+        # the specs gate their sizes when they are built, before the patch;
+        # the builders then write masks, so no endpoint reaches _count
+        specs = [*efamily_splits(10), *delta_splits(10), FamilySpec(FamilyKind.CATLIN, (3,)),
+                 FamilySpec(FamilyKind.COMPLETE, (10,))]
+        g, h = cycle_graph(5), cycle_graph(7)
+        calls = []
+        monkeypatch.setattr(graph_lab, "_count", lambda *args: calls.append(args))
+        graphs = [build_family(spec) for spec in specs]
+        graphs += [join(g, h), join(graphs[0], graphs[-1]), g.complement(), graphs[0].complement()]
+        assert calls == []
+
 
 class TestFamilies:
     def test_delta_splits_r4(self):
