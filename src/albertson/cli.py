@@ -200,24 +200,34 @@ def _family_specs(args) -> list[FamilySpec]:
     return list(splits(args.r))
 
 
-def _cmd_families(args) -> int:
-    from .graph_lab import (build_family, chromatic_number, contains_topological_clique,
-                            is_critical, serialize_graph6)
+def _checks(g, r: int, budget: dict[str, int]):
+    """Yield, in this order, chi(g), whether g holds a topological K_r with
+    a verified witness, and whether g is r-critical, each search under its
+    --budget entry.  A caller prints chi before the TK search runs, and a
+    budget error in the TK search leaves criticality unchecked."""
+    from .graph_lab import chromatic_number, contains_topological_clique, is_critical
 
-    coloring = args.budget.get("coloring")
-    subdivision = args.budget.get("subdivision")
+    coloring = budget.get("coloring")
+    yield chromatic_number(g, max_n=coloring)
+    yield contains_topological_clique(g, r, max_n=budget.get("subdivision"))
+    yield is_critical(g, r, max_n=coloring)
+
+
+def _cmd_families(args) -> int:
+    from .graph_lab import build_family, serialize_graph6
+
     ok = True
     for spec in _family_specs(args):
         g = build_family(spec)
         r = spec.r
         print(f"{spec.kind.value} sizes={','.join(str(s) for s in spec.sizes)}: "
               f"n={g.vertex_count} m={g.edge_count} graph6={serialize_graph6(g)}")
-        chi = chromatic_number(g, max_n=coloring)
+        checks = _checks(g, r, args.budget)
+        chi = next(checks)
         print(f"  chromatic number: {chi} (expected {r})")
         ok = ok and chi == r
         if spec.kind in (FamilyKind.DELTA, FamilyKind.EFAMILY):
-            verified = contains_topological_clique(g, r, max_n=subdivision)
-            critical = is_critical(g, r, max_n=coloring)
+            verified, critical = checks
             print(f"  critical({r}): {_yes(critical)}")
             print(f"  topological K{r}: "
                   + ("yes (witness verified)" if verified else "no"))
@@ -226,8 +236,7 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_check_list(args) -> int:
-    from .graph_lab import (chromatic_number, contains_topological_clique, is_critical,
-                            parse_graph6)
+    from .graph_lab import parse_graph6
 
     try:
         with open(args.file, encoding="utf-8") as handle:
@@ -247,9 +256,7 @@ def _cmd_check_list(args) -> int:
             ok = False
             continue
         try:
-            chi = chromatic_number(g, max_n=args.budget.get("coloring"))
-            topological = contains_topological_clique(g, args.r, max_n=args.budget.get("subdivision"))
-            critical = is_critical(g, args.r, max_n=args.budget.get("coloring"))
+            chi, topological, critical = _checks(g, args.r, args.budget)
         except BudgetExceededError as exc:
             print(f"{index}: budget exceeded: {exc}")
             ok = False

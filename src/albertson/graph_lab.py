@@ -16,7 +16,8 @@ Families (one table row each, built by build_family):
 
 A Graph stores adjacency bitmasks (bit v of masks[u] is the edge uv), and
 every algorithm below works on them.  Graph(n, edges) alone reads and gates
-edge pairs; every builder (build_family, join, complement) writes masks.
+edge pairs; every builder (build_family, join, complement, cycle_graph,
+without_edge, parse_graph6) writes masks.
 
 Exact searches, each entered once per call through _run_search, which
 states the budget rules: chromatic_number (the coloring oracle that _oracle
@@ -158,11 +159,13 @@ class Graph:
         return self.masks[self._vertex(v)].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        # public callers may pass any int: u < 0 would read another mask, v < 0 raise
+        # any int outside 0..n-1 is no edge: u < 0 would read another mask, v < 0 raise
+        _count("vertex", u)
+        _count("vertex", v)
         return 0 <= u < self.vertex_count and v >= 0 and self.masks[u] >> v & 1 == 1
 
     def without_edge(self, u: int, v: int) -> Graph:
-        if not self.has_edge(self._vertex(u), self._vertex(v)):
+        if not self.masks[self._vertex(u)] >> self._vertex(v) & 1:
             raise ValueError(f"no edge ({u}, {v})")
         masks = list(self.masks)
         masks[u], masks[v] = masks[u] ^ 1 << v, masks[v] ^ 1 << u

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from typing import NamedTuple
 
 import pytest
 
@@ -183,6 +185,10 @@ class TestCatlin:
         assert "45/64" in out and "625/1024" in out
 
 
+def _refuse_criticality(*args, **kwargs):
+    raise AssertionError("criticality checked for a graph whose TK search failed")
+
+
 class TestFamilies:
     def test_delta(self, capsys):
         code, out, _ = invoke(capsys, "families", "--kind", "Delta",
@@ -236,10 +242,7 @@ class TestFamilies:
     def test_subdivision_budget_stops_before_criticality(self, capsys, monkeypatch):
         # Delta(11) has n = 21, over the default subdivision budget of 20: the
         # TK search raises before the criticality check would run
-        def refuse(*args, **kwargs):
-            raise AssertionError("criticality checked for a member whose TK search failed")
-
-        monkeypatch.setattr("albertson.graph_lab.is_critical", refuse)
+        monkeypatch.setattr("albertson.graph_lab.is_critical", _refuse_criticality)
         code, out, err = invoke(capsys, "families", "--kind", "Delta", "--r", "11")
         assert code == 2
         assert "chromatic number: 11 (expected 11)" in out
@@ -322,6 +325,85 @@ class TestCheckList:
                               "--r", "4")
         assert code == 2
         assert "error:" in err
+
+    def test_subdivision_budget_stops_before_criticality(self, capsys, tmp_path, monkeypatch):
+        # a Delta(11) member has n = 21, over the default subdivision budget of 20
+        monkeypatch.setattr("albertson.graph_lab.is_critical", _refuse_criticality)
+        path = tmp_path / "delta11.g6"
+        path.write_text("T~~~~~~???_B?F?F_Bw?~?F{?^w?~~~_B~n}\n")
+        code, out, _ = invoke(capsys, "check-list", "--file", str(path), "--r", "11")
+        assert (code, out) == (1, "1: budget exceeded: subdivision budget is n <= 20, got n=21; "
+                                  "raise it via max_n or --budget subdivision=<N>\n")
+
+
+# Catlin(k): the 5-cycle with each vertex blown up into a k-clique
+CATLIN = {k: albertson.serialize_graph6(albertson.build_family(
+    albertson.FamilySpec(albertson.FamilyKind.CATLIN, (k,)))) for k in (3, 4, 5, 6, 8)}
+
+
+class Claim(NamedTuple):
+    argv: list[str]
+    status: int
+    line: str | None = None
+    stream: str = "out"
+    g6: str | None = None  # the graph6 text of the file that check-list reads
+    prefix: bool = False  # line is the start of a line of the stream
+
+
+# the paper's graphs through the commands that check them: each command
+# exits with status and prints line, within 60 s
+CLAIMS = {
+    # Delta(11) has 21 vertices, one more than the default subdivision budget
+    "delta11-budget": Claim(["families", "--kind", "Delta", "--r", "11"], 2,
+                            "error: subdivision budget is n <= 20, got n=21; raise it via max_n "
+                            "or --budget subdivision=<N>", "err"),
+    # every E30 member (n = 59) is 30-critical, with one colouring per twin orbit of edges
+    "efamily30": Claim(["families", "--kind", "EFamily", "--r", "30",
+                        "--budget", "coloring=60,subdivision=60"], 0),
+    # independence number 5: the Groetzsch graph's criticality runs DSATUR
+    "groetzsch": Claim(["check-list", "--r", "4"], 0,
+                       "1: n=11 m=20 chi=4 critical(4)=yes topological K4=yes", g6="JkLTAQGK?N_"),
+    # Delta(5) minus the edge (0, 1) is 4-chromatic, so the chi recorded by
+    # chromatic_number answers critical(5)=no
+    "delta5-e": Claim(["check-list", "--r", "5"], 1,
+                      "1: n=9 m=18 chi=4 critical(5)=no topological K5=yes", g6="HWCW~bm"),
+    # a 1001-cycle takes the four-byte "~" header and, on a quadratic codec, many seconds
+    "c1001": Claim(["check-list", "--r", "3"], 1, "1: budget exceeded: chromatic_number budget "
+                   "is n <= 40, got n=1001", g6=albertson.serialize_graph6(
+                       albertson.cycle_graph(1001)), prefix=True),
+    # chi(Catlin(k)) = ceil(5k/2) with no topological K_chi (Catlin 1979): the
+    # TK search takes each k-clique, a twin class, as a prefix among the branch
+    # vertices and among the internal vertices of the paths
+    "catlin3": Claim(["check-list", "--r", "8"], 1,
+                     "1: n=15 m=60 chi=8 critical(8)=yes topological K8=no", g6=CATLIN[3]),
+    "catlin4": Claim(["check-list", "--r", "10"], 1,
+                     "1: n=20 m=110 chi=10 critical(10)=no topological K10=no", g6=CATLIN[4]),
+    # independence number 2: the 175 edges go through the recolouring moves
+    "catlin5": Claim(["check-list", "--r", "13", "--budget", "subdivision=25"], 1,
+                     "1: n=25 m=175 chi=13 critical(13)=yes topological K13=no", g6=CATLIN[5]),
+    "catlin6": Claim(["check-list", "--r", "15", "--budget", "subdivision=30"], 1,
+                     "1: n=30 m=255 chi=15 critical(15)=no topological K15=no", g6=CATLIN[6]),
+    "catlin8": Claim(["check-list", "--r", "20", "--budget", "subdivision=40"], 1,
+                     "1: n=40 m=460 chi=20 critical(20)=no topological K20=no", g6=CATLIN[8]),
+    # 4.3 million orders, read from the four end orders of two concave parity classes
+    "lemma357-1e7": Claim(["lemma357", "--r", "10000000"], 0, "minimal margin: 53948586793169905"
+                          "821975500/91 (592841613111757182599168.0000) at n = 35700000"),
+}
+
+
+@pytest.mark.parametrize("name", CLAIMS)
+def test_claim(capsys, tmp_path, name):
+    claim, argv = CLAIMS[name], CLAIMS[name].argv
+    if claim.g6 is not None:
+        (tmp_path / "graph.g6").write_text(claim.g6 + "\n")
+        argv = [*argv, "--file", str(tmp_path / "graph.g6")]
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 60
+    assert code == claim.status, (out, err)
+    lines = {"out": out, "err": err}[claim.stream].splitlines()
+    assert claim.line is None or any(line.startswith(claim.line) if claim.prefix
+                                     else line == claim.line for line in lines), lines
 
 
 class TestUsage:

@@ -588,7 +588,10 @@ class TestCriticality:
                 assert is_critical(build_family(spec), r)
 
     def test_join_of_criticals(self):
+        # Dirac: the join of an a-critical and a b-critical graph is (a+b)-critical
         assert is_critical(join(complete_graph(3), cycle_graph(5)), 6)
+        g = join(cycle_graph(5), cycle_graph(5))
+        assert is_critical(g, 6) and g.complement().complement() == g
 
     @pytest.mark.parametrize("r", [9, 10, 11, 12])
     def test_delta_members_critical_frontier(self, r):

@@ -245,10 +245,13 @@ COUNT_GATES = {
     "cycle_graph n": ("n", lambda a: a.cycle_graph(5.0)),
     "Graph vertex_count": ("vertex_count", lambda a: a.Graph(2.0)),
     "Graph edge endpoint": ("vertex", lambda a: a.Graph(3, [(0, 1.0)])),
+    "has_edge v": ("vertex", lambda a: a.cycle_graph(5).has_edge(0, 1.0)),
     "verify_albertson r": ("r", lambda a: a.verify_albertson(13.0)),
     # a bool is an int to isinstance, but no count
     "Graph vertex_count bool": ("vertex_count", lambda a: a.Graph(True)),
     "Graph edge endpoint bool": ("vertex", lambda a: a.Graph(3, [(0, True)])),
+    "has_edge v bool": ("vertex", lambda a: a.cycle_graph(5).has_edge(0, True)),
+    "has_edge u bool": ("vertex", lambda a: a.cycle_graph(5).has_edge(True, 2)),
     "zarankiewicz bool": ("r", lambda a: a.zarankiewicz(True)),
     "find_topological_clique t bool":
         ("t", lambda a: a.find_topological_clique(a.complete_graph(3), True)),
