@@ -374,11 +374,16 @@ def _k_coloring(adj: Sequence[int], k: int, cliques: list[int]) -> list[int] | N
     members.  Only cliques containing a vertex whose colors just shrank are
     rechecked; the others hold at least as many colors as before.  The prune
     needs only that every listed set is a clique of this graph, not that it
-    is maximal.
+    is maximal.  It runs over the listed cliques of three or more vertices
+    alone: on an edge it can only catch two adjacent vertices left with the
+    same single color, and forward checking refutes that branch as soon as
+    either of the two is colored.  So skipping edges returns the same
+    coloring, or None, and can only add search nodes.
     """
     n = len(adj)
     if cliques[0].bit_count() > k:
         return None
+    hall = [clique for clique in cliques if clique.bit_count() > 2]
     degree = [a.bit_count() for a in adj]
 
     def assign(colors: list[int], uncolored: int, v: int, c: int) -> bool:
@@ -397,7 +402,7 @@ def _k_coloring(adj: Sequence[int], k: int, cliques: list[int]) -> list[int] | N
                 shrunk |= low
             rest ^= low
         if shrunk:
-            for clique in cliques:
+            for clique in hall:
                 if clique & shrunk:
                     left = rest = clique & uncolored
                     union = 0
@@ -493,17 +498,17 @@ def _chromatic(adj: Sequence[int]) -> tuple[int, Callable]:
     if oracle is _matching_coloring:
         colors = oracle(adj, len(adj))  # at most n colors, so never None
     else:
-        cliques = _cliques(adj)
-        k = cliques[0].bit_count()
-        while (colors := _k_coloring(adj, k, cliques)) is None:
+        k = oracle.cliques[0].bit_count()
+        while (colors := oracle(adj, k)) is None:
             k += 1
     return max(colors, default=-1) + 1, oracle
 
 
-def _oracle(adj: Sequence[int]) -> Callable[[Sequence[int], int], list[int] | None]:
+def _oracle(adj: Sequence[int]) -> Callable[..., list[int] | None]:
     """The coloring oracle of the graph g with adjacency bitmasks adj: a
-    function (masks, k) -> a k-coloring of the graph with adjacency bitmasks
-    masks, or None if it has none, exact on g and on every contraction G/uv.
+    function (masks, k, uv=None) -> a k-coloring of the graph with adjacency
+    bitmasks masks, or None if it has none, exact on g (uv None) and on
+    every contraction G/uv (uv = (u, v), masks labelled as _merge does).
 
     When the complement of g is triangle-free, i.e. alpha(g) <= 2, every
     color class is one vertex or one non-edge, so a coloring with c colors
@@ -512,18 +517,52 @@ def _oracle(adj: Sequence[int]) -> Callable[[Sequence[int], int], list[int] | No
     with no search: the oracle is _matching_coloring.  An independent set
     of G/uv that holds the merged vertex is one of g that holds u, so
     alpha(G/uv) <= alpha(g), and the matching is exact on every contraction
-    too.  Otherwise the oracle is the DSATUR search _k_coloring."""
+    too.  Otherwise the oracle is the DSATUR search _k_coloring with one
+    greedy clique list of g, found here once (_Dsatur).  Each contraction
+    gets that list mapped through the merge: a clique through v becomes one
+    through u, and it is a clique of G/uv, since the merged vertex sees
+    N(u) u N(v)."""
     if _has_triangle(_complement_masks(adj)):
-        return lambda masks, k: _k_coloring(masks, k, _cliques(masks))
+        return _Dsatur(_cliques(adj))
     return _matching_coloring
 
 
-def _matching_coloring(masks: Sequence[int], k: int) -> list[int] | None:
+class _Dsatur:
+    """The DSATUR oracle of one graph g (_oracle): cliques is the greedy
+    clique list of g, and a call colors g with it, or a contraction G/uv
+    with its image under the merge, re-sorted largest first, since a clique
+    that holds both u and v loses one vertex.  Every image is a clique of
+    G/uv and none is empty, which is all that _k_coloring needs."""
+
+    __slots__ = ("cliques",)
+
+    def __init__(self, cliques: list[int]):
+        self.cliques = cliques
+
+    def __call__(self, masks: Sequence[int], k: int,
+                 uv: tuple[int, int] | None = None) -> list[int] | None:
+        cliques = self.cliques
+        if uv is not None:
+            cliques = sorted(_merge(cliques, *uv), key=int.bit_count, reverse=True)
+        return _k_coloring(masks, k, cliques)
+
+
+def _matching_coloring(masks: Sequence[int], k: int,
+                       uv: tuple[int, int] | None = None) -> list[int] | None:
     """The coloring whose classes are the pairs of a maximum matching of the
     complement and the single vertices left, if it has at most k colors;
-    otherwise None.  Exact only when alpha <= 2 (_oracle)."""
+    otherwise None.  Exact only when alpha <= 2 (_oracle).  The matching
+    reads masks alone, so a contraction's uv is not used."""
     colors = _classes(_max_matching(_complement_masks(masks)))
     return colors if max(colors, default=-1) < k else None
+
+
+def _merge(masks: Sequence[int], u: int, v: int) -> list[int]:
+    """Vertex sets of g, as bitmasks, relabelled as sets of the contraction
+    G/uv (u < v): bit v moves to bit u, and every bit above v moves down
+    one, so index v is dropped."""
+    low = (1 << v) - 1
+    return [mask & low | mask >> 1 & ~low | (mask >> v & 1) << u for mask in masks]
 
 
 def _twin_classes(adj: Sequence[int]) -> list[int]:
@@ -581,7 +620,9 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
         and v one color colors G/uv, and a coloring of G/uv gives u and v
         the color of the merged vertex.  So G-uv is (r-1)-colorable iff
         G/uv is, and G/uv is colored by the oracle that refutes g, which is
-        exact on every contraction (_oracle);
+        exact on every contraction (_oracle); the DSATUR oracle colors it
+        with the clique list of g mapped through the merge, not a fresh
+        one;
       - a recoloring move: if an end z of e has exactly one neighbor x of
         some color b, recoloring z to b leaves zx the one monochromatic edge
         of g, so the result colors G-zx.  (z has a neighbor of every color,
@@ -598,12 +639,10 @@ def _edge_colorings(g: Graph, r: int) -> Iterator[tuple[tuple[int, int], list[in
         return
 
     def color(u: int, v: int) -> list[int] | None:
-        # G/uv: v merged into u (u < v), then bit and index v dropped
-        uv, low = 1 << u | 1 << v, (1 << v) - 1
-        merged = [mask & ~uv | (mask & uv != 0) << u for mask in adj]
-        merged[u] = (adj[u] | adj[v]) & ~uv
-        colors = oracle([mask & low | mask >> 1 & ~low
-                         for x, mask in enumerate(merged) if x != v], k)
+        # G/uv: v merged into u (u < v), which sees N(u) u N(v)
+        masks = _merge(adj, u, v)
+        masks[u] = (masks[u] | masks.pop(v)) & ~(1 << u)
+        colors = oracle(masks, k, (u, v))
         if colors is not None:
             colors.insert(v, colors[u])  # v takes the color of u
         return colors

@@ -224,12 +224,13 @@ def _twin_orbit(twins, x, y):
     return {(min(a, b), max(a, b)) for a in twins[x] for b in twins[y]}
 
 
-def _check_orbit_certificate(g, r, triples):
+def _check_orbit_certificate(g, r, triples, complete=True):
     """Assert that the (e, coloring, orbit size) triples of _edge_colorings
     certify every edge of g exactly once: the twin orbits of the yielded
     edges, recomputed here from g alone, partition the edges of g, no orbit
     comes twice, each claimed size is its orbit's size, and each coloring
-    properly (r-1)-colors G-e."""
+    properly (r-1)-colors G-e.  With complete False the orbits need not
+    cover every edge, as when some G-e is not (r-1)-colorable."""
     twins, edges, covered = _twin_sets(g), g.edges, set()
     for (x, y), colors, size in triples:
         orbit = _twin_orbit(twins, x, y)
@@ -239,7 +240,7 @@ def _check_orbit_certificate(g, r, triples):
         covered |= orbit
         assert len(colors) == g.vertex_count and set(colors) <= set(range(r - 1))
         assert all(colors[u] != colors[v] for u, v in edges if (u, v) != (x, y)), (x, y)
-    assert covered == edges
+    assert covered == edges or not complete
 
 
 class TestGraphType:
@@ -1353,6 +1354,27 @@ class TestRecordedChi:
         assert is_critical(fresh, r)
         assert calls == 1
 
+    @pytest.mark.parametrize("k", [4, 5], ids=["M4", "M5"])
+    def test_cliques_are_built_once(self, monkeypatch, k):
+        # M4 and M5 (alpha >= 3) take DSATUR: the oracle that
+        # chromatic_number records owns one clique list, and criticality
+        # maps it into every contraction instead of finding a fresh one
+        g = _mycielski_k(k)
+        fresh = Graph(g.vertex_count, g.edges)
+        calls = 0
+
+        def counted(adj):
+            nonlocal calls
+            calls += 1
+            return _cliques(adj)
+
+        monkeypatch.setattr("albertson.graph_lab._cliques", counted)
+        assert chromatic_number(g) == k and is_critical(g, k)
+        assert calls == 1
+        calls = 0
+        assert is_critical(fresh, k)
+        assert calls == 1
+
     def test_record_is_invisible(self):
         g = complete_graph(4).without_edge(1, 3)
         plain = Graph(g.vertex_count, g.edges)
@@ -1392,15 +1414,78 @@ class TestRecordedChi:
             is_critical(g, 3, max_n=n)
 
 
+def _contraction(g, u, v):
+    """G/uv from the edge list of g: v merged into u, every vertex above v
+    one label lower."""
+    def label(x):
+        x = u if x == v else x
+        return x - (x > v)
+
+    return Graph(g.vertex_count - 1,
+                 [(label(a), label(b)) for a, b in g.edges if (a, b) != (u, v)])
+
+
+def _is_clique(g, mask):
+    members = [x for x in range(g.vertex_count) if mask >> x & 1]
+    return mask >> g.vertex_count == 0 and all(
+        g.has_edge(a, b) for a, b in itertools.combinations(members, 2))
+
+
+class TestContractedCliques:
+    """The DSATUR oracle of g colors each contraction G/uv with the clique
+    list of g mapped through the merge: the list it hands _k_coloring is
+    non-empty, largest first, and holds only cliques of G/uv, built here
+    from the edge list."""
+
+    @staticmethod
+    def _check_every_edge(monkeypatch):
+        lists = []
+        monkeypatch.setattr(graph_lab, "_k_coloring",
+                            lambda masks, k, cliques: lists.append(cliques))
+        rng = random.Random(0x38)
+        graphs = 0
+        while graphs < 120:
+            g = _random_graph(rng, rng.randint(3, 13), rng.random())
+            if not _has_triangle(_complement_masks(g.masks)):
+                continue  # alpha <= 2: the matching oracle, with no cliques
+            graphs += 1
+            oracle = graph_lab._oracle(g.masks)
+            for u, v in sorted(g.edges):
+                h = _contraction(g, u, v)
+                lists.clear()
+                oracle(h.masks, h.vertex_count, (u, v))
+                [cliques] = lists
+                sizes = [clique.bit_count() for clique in cliques]
+                assert sizes and sizes == sorted(sizes, reverse=True) and sizes[-1] > 0, \
+                    (g.edges, u, v)
+                assert all(_is_clique(h, clique) for clique in cliques), (g.edges, u, v)
+
+    def test_mapped_lists_hold_cliques_of_each_contraction(self, monkeypatch):
+        self._check_every_edge(monkeypatch)
+
+    def test_check_rejects_a_map_that_leaves_v_in_place(self, monkeypatch):
+        # the merge with bit v kept where it is instead of moved to u: that
+        # bit now names the vertex labelled v + 1 in g
+        def leaves_v(masks, u, v):
+            low = (1 << v) - 1
+            return [mask & low | mask >> 1 & ~low | mask & 1 << v for mask in masks]
+
+        monkeypatch.setattr(graph_lab, "_merge", leaves_v)
+        with pytest.raises(AssertionError):
+            self._check_every_edge(monkeypatch)
+
+
 # Reference kernels: graph_lab's _cliques, _k_coloring, _has_triangle,
 # _max_matching and _edge_colorings as they were before they walked set bits
-# inline, before the moves were read off per-vertex open-edge masks and
-# before a root was matched straight to a free neighbor, copied statement
-# for statement; only docstrings, comments and type hints are left out and a
-# _ref prefix marks the names they define and call.  The guard calls alone
-# follow graph_lab: _ref_k_coloring calls solve directly, as _k_coloring
-# does, since the one guard sits at each public search.  The fast kernels
-# must return, and yield, exactly what these do.
+# inline, before the moves were read off per-vertex open-edge masks, before
+# a root was matched straight to a free neighbor, before the Hall prune left
+# edges to forward checking and before the DSATUR oracle mapped the clique
+# list of g into each contraction, copied statement for statement; only
+# docstrings, comments and type hints are left out and a _ref prefix marks
+# the names they define and call.  The guard calls alone follow graph_lab:
+# _ref_k_coloring calls solve directly, as _k_coloring does, since the one
+# guard sits at each public search.  TestKernelIdentity states what the
+# fast kernels must return and yield against these.
 
 
 def _ref_bits(mask: int):
@@ -1614,35 +1699,45 @@ def _assert_kernels_match(g, ks, rs):
     for masks in (adj, comp):
         assert _has_triangle(masks) == _ref_has_triangle(masks), masks
         assert _max_matching(masks) == _ref_max_matching(masks), masks
+    edge_listed = any(clique.bit_count() == 2 for clique in cliques)
     for k in ks:
-        assert (_coloring_and_nodes(_k_coloring, adj, k, cliques)
-                == _coloring_and_nodes(_ref_k_coloring, adj, k, cliques)), (adj, k)
+        colors, nodes = _coloring_and_nodes(_k_coloring, adj, k, cliques)
+        ref_colors, ref_nodes = _coloring_and_nodes(_ref_k_coloring, adj, k, cliques)
+        assert colors == ref_colors, (adj, k)
+        assert (nodes >= ref_nodes if edge_listed else nodes == ref_nodes), (adj, k)
     twins = _twin_sets(g)
+    twin_free = all(len(c) == 1 for c in twins)
     for r in rs:
         # copies, so that a later change to a yielded list cannot hide here
         fast = [(e, colors[:], size) for e, colors, size in _edge_colorings(g, r)]
         ref = [(e, colors[:]) for e, colors in _ref_edge_colorings(g, r)]
-        if all(len(c) == 1 for c in twins):
+        if twin_free and not _ref_has_triangle(comp):
             assert fast == [(e, colors, 1) for e, colors in ref], (adj, r)
         else:
-            # twin orbits close whole, so the colorings differ; but both stop
-            # at the least edge whose G-e is not (r-1)-colorable, having
-            # covered every edge below it, or cover every edge: the same
-            # answer and the same least uncovered edge
+            # twin orbits close whole, and DSATUR colors a contraction with
+            # the mapped clique list of g, so the colorings differ; but both
+            # stop at the least edge whose G-e is not (r-1)-colorable,
+            # having covered every edge below it, or cover every edge: the
+            # same answer and the same least uncovered edge
+            _check_orbit_certificate(g, r, fast, complete=False)
             covered = set().union(*(_twin_orbit(twins, *e) for e, _, _ in fast))
             assert sum(size for _, _, size in fast) == len(covered)
             assert (min(g.edges - covered, default=None)
                     == min(g.edges - {e for e, _ in ref}, default=None)), (adj, r)
-    return all(len(c) == 1 for c in twins)
+    return twin_free
 
 
 class TestKernelIdentity:
     """The inline bit walks change no answer and no search: same cliques,
-    colorings and node counts, mates, triangle answers, and on twin-free
-    graphs the same (edge, coloring) sequence from _edge_colorings, each
-    edge its own orbit.  On graphs with twins _edge_colorings closes whole
-    twin orbits, so there it must give the same answer and cover the
-    orbits of the edges the reference reaches."""
+    mates and triangle answers.  _k_coloring gives the reference's coloring
+    for the same clique list, in as many nodes when no listed clique is an
+    edge; with an edge listed it may take more, since it leaves edges to
+    forward checking.  On twin-free graphs with alpha <= 2 _edge_colorings
+    gives the same (edge, coloring) sequence, each edge its own orbit.  On
+    graphs with twins it closes whole twin orbits, and with alpha >= 3 it
+    colors each contraction with the mapped clique list of g, so there each
+    yielded triple must pass _check_orbit_certificate, with the same answer
+    and the same least uncovered edge as the reference."""
 
     def test_random_graphs(self):
         rng = random.Random(0x1D)

@@ -5,7 +5,8 @@ An AST scan of every module of the package rejects every float literal and
 every `float(...)` call.  The only exemptions are the display helpers of
 `cli` and `verifier` that print a decimal rendering next to an exact value.
 A second scan rejects every `isinstance(..., int)` outside `errors._count`,
-the one gate on counts.
+the one gate on counts, and a third every call of `graph_lab._cliques`
+outside `graph_lab._oracle`, the one owner of a graph's clique list.
 networkx is a test-only oracle: a subprocess that blocks its import still
 runs the graph lab and the CLI.
 """
@@ -28,6 +29,9 @@ DISPLAY_ONLY = {"cli": {"_rational"}, "verifier": {"_fmt3", "_render_markdown"}}
 
 # module -> the function that owns the count rule
 COUNT_GATE = {"errors": {"_count"}}
+
+# module -> the function that builds the one clique list of a graph
+CLIQUE_OWNER = {"graph_lab": {"_oracle"}}
 
 
 def nodes_outside(source: str, exempt: set[str]) -> list[ast.AST]:
@@ -68,6 +72,19 @@ def int_tests(source: str, exempt: set[str]) -> list[str]:
     return [f"{line}: isinstance(..., int)" for line in sorted(found)]
 
 
+def calls_of(source: str, name: str, exempt: set[str]) -> list[str]:
+    """'line: name(...)' for each call of name, bare or as an attribute,
+    outside the exempt functions."""
+    found = []
+    for node in nodes_outside(source, exempt):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == name
+                    or isinstance(func, ast.Attribute) and func.attr == name):
+                found.append(node.lineno)
+    return [f"{line}: {name}(...)" for line in sorted(found)]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_float_in_exact_layers(module):
     source = (SRC / f"{module}.py").read_text(encoding="utf-8")
@@ -80,8 +97,14 @@ def test_counts_have_one_gate(module):
     assert int_tests(source, COUNT_GATE.get(module, set())) == []
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_clique_list_has_one_owner(module):
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert calls_of(source, "_cliques", CLIQUE_OWNER.get(module, set())) == []
+
+
 def test_exempt_helpers_exist():
-    for module, exempt in [*DISPLAY_ONLY.items(), *COUNT_GATE.items()]:
+    for module, exempt in [*DISPLAY_ONLY.items(), *COUNT_GATE.items(), *CLIQUE_OWNER.items()]:
         assert module in MODULES
         tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
         names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
@@ -103,6 +126,15 @@ def test_scan_catches_planted_int_tests():
               "def h(n):\n    return type(n) is int\n")
     assert int_tests(source, {"gate"}) == ["2: isinstance(..., int)", "5: isinstance(..., int)"]
     assert int_tests((SRC / "errors.py").read_text(encoding="utf-8"), set()) != []
+
+
+def test_scan_catches_planted_clique_calls():
+    source = ("def _oracle(adj):\n    return _cliques(adj)\n"
+              "def color(adj, k):\n    return _k_coloring(adj, k, _cliques(adj))\n"
+              "def other(g):\n    return graph_lab._cliques(g.masks)\n"
+              "def lookup():\n    return _cliques\n")
+    assert calls_of(source, "_cliques", {"_oracle"}) == ["4: _cliques(...)", "6: _cliques(...)"]
+    assert calls_of((SRC / "graph_lab.py").read_text(encoding="utf-8"), "_cliques", set()) != []
 
 
 WITHOUT_NETWORKX = """
